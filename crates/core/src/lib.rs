@@ -33,10 +33,10 @@
 pub mod aggregate;
 pub mod anytime;
 pub mod approx;
-pub mod dynamic;
 pub mod engine;
 pub mod enumerate;
 pub mod error;
+pub mod repair;
 pub mod sql;
 pub mod value;
 
@@ -45,7 +45,6 @@ pub use anytime::{
     AnswerValue, Anytime, AnytimeConfig, CostModel, PassKind, PassReport, PassStatus,
 };
 pub use approx::{sample_size, ApproxConfig, ApproxValue};
-pub use dynamic::{EdgeUpdate, MaintainedTerm};
 pub use engine::{
     DegradePolicy, EngineConfig, EngineKind, EngineStats, Evaluator, EvaluatorBuilder, MarkerDef,
     PhaseTimes, Session,
@@ -55,4 +54,5 @@ pub use error::{Error, Result};
 pub use foc_covers::CoverConfig;
 pub use foc_guard::Confidence;
 pub use foc_guard::{Budget, CancelToken, Interrupt, Phase, TraceContext, TripReason};
+pub use repair::repair_caches;
 pub use value::Value;

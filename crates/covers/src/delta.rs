@@ -45,16 +45,16 @@ pub struct RefreshStats {
 /// A neighbourhood cover that can follow a mutating graph by local
 /// repair instead of full rebuild.
 #[derive(Debug, Clone)]
-pub struct MaintainedCover {
+pub(crate) struct MaintainedCover {
     /// The current, always-valid (r, 2r)-cover.
-    pub cover: NeighborhoodCover,
+    pub(crate) cover: NeighborhoodCover,
     /// The frozen vertex order of the least-centre rule.
     pos: Arc<Vec<u32>>,
 }
 
 impl MaintainedCover {
     /// Builds a cover and freezes the construction-time vertex order.
-    pub fn build(g: &Graph, r: u32) -> MaintainedCover {
+    pub(crate) fn build(g: &Graph, r: u32) -> MaintainedCover {
         let pos = Arc::new(g.degeneracy_positions());
         let cover = build_cover_with_order(g, r, &pos);
         MaintainedCover { cover, pos }
@@ -63,7 +63,12 @@ impl MaintainedCover {
     /// Repairs the cover after edge changes around `touched` (the
     /// elements of the changed tuples). `old_g` is the graph the cover
     /// currently describes, `new_g` the one it must describe next.
-    pub fn refresh(&mut self, old_g: &Graph, new_g: &Graph, touched: &[u32]) -> RefreshStats {
+    pub(crate) fn refresh(
+        &mut self,
+        old_g: &Graph,
+        new_g: &Graph,
+        touched: &[u32],
+    ) -> RefreshStats {
         let mut stats = RefreshStats::default();
         if touched.is_empty() {
             return stats;

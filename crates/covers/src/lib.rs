@@ -29,7 +29,7 @@ pub use cover::{
     build_cover, build_cover_with_order, cover_structure, trivial_cover, NeighborhoodCover,
 };
 pub use cover_eval::{CoverConfig, CoverEvaluator, CoverStats};
-pub use delta::{CoverStore, MaintainedCover, RefreshStats};
+pub use delta::{CoverStore, RefreshStats};
 pub use removal::{
     remove_element, remove_formula, remove_ground_count, remove_unary_count, RemovalContext,
     RemovedCount, RemovedStructure,

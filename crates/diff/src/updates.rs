@@ -7,18 +7,18 @@
 //! every query point three pipelines must agree:
 //!
 //! * **delta-local** — the `Local` engine over the live snapshot, with a
-//!   [`TermCache`] carried across epochs by
-//!   [`foc_locality::migrate_cache`] (dirty-ball recomputation only);
+//!   [`TermCache`] carried across epochs (dirty-ball recomputation only);
 //! * **delta-cover** — the `Cover` engine over the live snapshot, with a
-//!   [`CoverStore`] repaired across epochs by
-//!   [`foc_covers::CoverStore::migrate`];
+//!   [`CoverStore`] repaired across epochs;
 //! * **oracle** — the naive reference evaluator over
 //!   [`DeltaStructure::rebuild_from_scratch`], an epoch-0 structure
 //!   rebuilt from the current tuples with no incremental state at all.
 //!
-//! A disagreement means the incremental machinery (COW commits, Gaifman
-//! maintenance, cache migration, or cover repair) corrupted state that a
-//! cold evaluation would not have. The loop also cross-checks the
+//! Both stores cross each commit through [`foc_core::repair_caches`],
+//! the same repair `foc serve` runs. A disagreement means the
+//! incremental machinery (COW commits, Gaifman maintenance, cache
+//! migration, or cover repair) corrupted state that a cold evaluation
+//! would not have. The loop also cross-checks the
 //! epoch-folded fingerprint: an effective commit that does not change
 //! the structure fingerprint would silently poison every
 //! fingerprint-keyed cache, so it is reported as a divergence too.
@@ -33,9 +33,9 @@
 use std::io::Write;
 use std::sync::Arc;
 
-use foc_core::{EngineKind, Evaluator};
+use foc_core::{repair_caches, EngineKind, Evaluator};
 use foc_covers::CoverStore;
-use foc_locality::{migrate_cache, TermCache};
+use foc_locality::TermCache;
 use foc_logic::Predicates;
 use foc_obs::{names, Metrics};
 use foc_structures::{DeltaStructure, Structure, TupleOp};
@@ -216,10 +216,7 @@ pub fn fuzz_updates(cfg: &UpdatesConfig, metrics: &Metrics, log: &mut dyn Write)
                                 &history,
                             );
                         }
-                        migrate_cache(&cache, &old, &new, &info.touched, &preds);
-                        covers.migrate(&old, &new, &info.touched);
-                        cache.evict_structure(old.fingerprint());
-                        covers.retire(old.fingerprint());
+                        repair_caches(&cache, &covers, &preds, &old, &new, &info.touched, || {});
                     }
                 }
             }

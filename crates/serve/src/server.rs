@@ -35,12 +35,12 @@ use std::sync::{Arc, Condvar, Mutex, RwLock};
 use std::time::{Duration, Instant, SystemTime};
 
 use foc_core::{
-    AnswerValue, AnytimeConfig, ApproxConfig, Confidence, CostModel, DegradePolicy, EngineKind,
-    Error, Evaluator, PassReport,
+    repair_caches, AnswerValue, AnytimeConfig, ApproxConfig, Confidence, CostModel, DegradePolicy,
+    EngineKind, Error, Evaluator, PassReport,
 };
 use foc_covers::CoverStore;
 use foc_guard::{Budget, CancelToken, MemoryMeter, TraceContext, TripReason};
-use foc_locality::{migrate_cache, TermCache};
+use foc_locality::TermCache;
 use foc_logic::parse::{parse_formula, parse_term};
 use foc_logic::Predicates;
 use foc_obs::{
@@ -1196,11 +1196,15 @@ fn apply_update(req: &Request, tc: &TraceContext, shared: &Arc<Shared>) -> Strin
                         }
                     }
                 }
-                let stats = migrate_cache(&shared.cache, &old, &new, &info.touched, &shared.preds);
-                shared.covers.migrate(&old, &new, &info.touched);
-                *shared.published.write().unwrap_or_else(|e| e.into_inner()) = new.clone();
-                shared.cache.evict_structure(old.fingerprint());
-                shared.covers.retire(old.fingerprint());
+                let stats = repair_caches(
+                    &shared.cache,
+                    &shared.covers,
+                    &shared.preds,
+                    &old,
+                    &new,
+                    &info.touched,
+                    || *shared.published.write().unwrap_or_else(|e| e.into_inner()) = new.clone(),
+                );
                 shared.meter.add(new.resident_bytes());
                 shared.meter.sub(old.resident_bytes());
                 m.counter(names::SERVE_CACHE_MIGRATED)

@@ -1,19 +1,23 @@
 //! The three Section 9 "open questions", prototyped:
 //!
 //! 1. SUM/AVG aggregates (`foc_core::aggregate`),
-//! 2. database updates (`foc_core::dynamic`),
+//! 2. database updates (`foc_core::repair`),
 //! 3. constant-delay enumeration (`foc_core::enumerate`).
 //!
 //! ```text
 //! cargo run --release --example extensions
 //! ```
 
-use foc_core::{EdgeUpdate, EngineKind, Evaluator, MaintainedTerm, SumAggregate, Weights};
+use foc_core::{repair_caches, EngineKind, Evaluator, SumAggregate, Weights};
+use foc_covers::CoverStore;
+use foc_locality::TermCache;
 use foc_logic::build::*;
-use foc_logic::Query;
+use foc_logic::{Predicates, Query};
 use foc_structures::gen::random_tree;
+use foc_structures::{DeltaStructure, TupleOp};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::sync::Arc;
 use std::time::Instant;
 
 fn main() {
@@ -41,16 +45,26 @@ fn main() {
     );
 
     // ── (2) database updates ──────────────────────────────────────────
-    // Maintain the number of close pairs (dist ≤ 2) under edge updates.
-    let body = and(dist_le(x, y, 2), not(eq(x, y)));
+    // Keep the number of close pairs (dist ≤ 2) fresh under edge updates:
+    // each commit repairs the shared term cache around the touched
+    // elements, so the next evaluation is warm.
+    let close = cnt([x, y], and(dist_le(x, y, 2), not(eq(x, y))));
+    let preds = Predicates::standard();
+    let cache = Arc::new(TermCache::default());
+    let covers = CoverStore::default();
+    let warm = Evaluator::builder()
+        .kind(EngineKind::Local)
+        .shared_cache(cache.clone())
+        .build()
+        .unwrap();
+    let mut delta = DeltaStructure::new(s.clone());
     let t0 = Instant::now();
-    let mut maintained = MaintainedTerm::new(s.clone(), "E", &[x, y], &body).unwrap();
+    let initial = warm.eval_ground(&delta.snapshot(), &close).unwrap();
     println!(
-        "\n(2) maintained #(x,y). dist(x,y) ≤ 2 ∧ x≠y = {}  [initialised in {:?}]",
-        maintained.value(),
+        "\n(2) #(x,y). dist(x,y) ≤ 2 ∧ x≠y = {initial}  [cold evaluation in {:?}]",
         t0.elapsed()
     );
-    let mut total_affected = 0usize;
+    let mut total_recomputed = 0usize;
     let t0 = Instant::now();
     let updates = 20;
     for _ in 0..updates {
@@ -59,24 +73,31 @@ fn main() {
         if u == w {
             continue;
         }
-        let up = if rng.gen_bool(0.6) {
-            EdgeUpdate::Insert(u, w)
+        let ops = if rng.gen_bool(0.6) {
+            [TupleOp::insert("E", &[u, w]), TupleOp::insert("E", &[w, u])]
         } else {
-            EdgeUpdate::Delete(u, w)
+            [TupleOp::delete("E", &[u, w]), TupleOp::delete("E", &[w, u])]
         };
-        maintained.apply(up).unwrap();
-        total_affected += maintained.last_affected();
+        let old = delta.snapshot();
+        let info = delta.apply(&ops).unwrap();
+        if info.changed > 0 {
+            let new = delta.snapshot();
+            let stats = repair_caches(&cache, &covers, &preds, &old, &new, &info.touched, || {});
+            total_recomputed += stats.recomputed;
+        }
     }
+    let value = warm.eval_ground(&delta.snapshot(), &close).unwrap();
     println!(
-        "    after {updates} random updates: value = {}, avg affected = {} of {} elements/update  [{:?}]",
-        maintained.value(),
-        total_affected / updates,
+        "    after {updates} random updates: value = {value}, avg recomputed = {} of {} entries/update  [{:?}]",
+        total_recomputed / updates,
         s.order(),
         t0.elapsed()
     );
+    // `ev` has no shared cache, so this is a cold evaluation.
     assert_eq!(
-        maintained.value(),
-        maintained.recompute_from_scratch().unwrap()
+        value,
+        ev.eval_ground(&delta.rebuild_from_scratch(), &close)
+            .unwrap()
     );
     println!("    matches from-scratch recomputation ✓");
 
