@@ -45,7 +45,7 @@ use foc_locality::cache::TermCache;
 use foc_locality::clterm::{BasicClTerm, ClTerm};
 use foc_locality::decompose::decompose_unary;
 use foc_locality::error::Result;
-use foc_locality::local_eval::{ClValue, LocalEvaluator};
+use foc_locality::local_eval::{eval_clterm_vectors, ClValue, LocalEvaluator};
 use foc_logic::{Formula, Predicates, Term, Var};
 use foc_obs::{names, pow2_buckets, Histogram, SpanHandle};
 use foc_parallel::ParMeter;
@@ -285,64 +285,10 @@ impl<'a> CoverEvaluator<'a> {
     /// Evaluates a full cl-term (same interface as
     /// [`LocalEvaluator::eval_clterm`]).
     pub fn eval_clterm(&self, t: &ClTerm) -> Result<ClValue> {
-        let mut unary_cache: FxHashMap<usize, Vec<i64>> = FxHashMap::default();
-        let mut ground_cache: FxHashMap<usize, i64> = FxHashMap::default();
-        self.eval_rec(t, &mut unary_cache, &mut ground_cache)
-    }
-
-    fn eval_rec(
-        &self,
-        t: &ClTerm,
-        unary_cache: &mut FxHashMap<usize, Vec<i64>>,
-        ground_cache: &mut FxHashMap<usize, i64>,
-    ) -> Result<ClValue> {
-        match t {
-            ClTerm::Int(i) => Ok(ClValue::Scalar(*i)),
-            ClTerm::Basic(b) => {
-                let key = Arc::as_ptr(b) as usize;
-                let parent = self.obs.as_ref().map(|o| o.parent.clone());
-                if b.unary {
-                    if let Some(vs) = unary_cache.get(&key) {
-                        return Ok(ClValue::Vector(vs.clone()));
-                    }
-                    let vals =
-                        self.eval_basic_all(b, self.a, self.config.depth, parent.as_ref())?;
-                    unary_cache.insert(key, vals.clone());
-                    Ok(ClValue::Vector(vals))
-                } else {
-                    if let Some(&v) = ground_cache.get(&key) {
-                        return Ok(ClValue::Scalar(v));
-                    }
-                    // Ground basics: sum the unary view (Remark 6.3).
-                    let vals =
-                        self.eval_basic_all(b, self.a, self.config.depth, parent.as_ref())?;
-                    let mut acc = 0i64;
-                    for v in vals {
-                        acc = acc.checked_add(v).ok_or(foc_locality::LocalityError::Eval(
-                            foc_eval::EvalError::Overflow,
-                        ))?;
-                    }
-                    ground_cache.insert(key, acc);
-                    Ok(ClValue::Scalar(acc))
-                }
-            }
-            ClTerm::Add(ts) => {
-                let mut acc = ClValue::Scalar(0);
-                for s in ts {
-                    let v = self.eval_rec(s, unary_cache, ground_cache)?;
-                    acc = combine(acc, v, |a, b| a.checked_add(b))?;
-                }
-                Ok(acc)
-            }
-            ClTerm::Mul(ts) => {
-                let mut acc = ClValue::Scalar(1);
-                for s in ts {
-                    let v = self.eval_rec(s, unary_cache, ground_cache)?;
-                    acc = combine(acc, v, |a, b| a.checked_mul(b))?;
-                }
-                Ok(acc)
-            }
-        }
+        let parent = self.obs.as_ref().map(|o| o.parent.clone());
+        eval_clterm_vectors(t, &mut |b| {
+            self.eval_basic_all(b, self.a, self.config.depth, parent.as_ref())
+        })
     }
 
     /// A ball-enumeration evaluator for a (sub)structure, wired to the
@@ -377,27 +323,30 @@ impl<'a> CoverEvaluator<'a> {
         s: &Structure,
         depth: u32,
         parent: Option<&SpanHandle>,
-    ) -> Result<Vec<i64>> {
+    ) -> Result<Arc<Vec<i64>>> {
         self.guard.check(Phase::Cover)?;
         if let Some(cache) = &self.cache {
             if let Some(vals) = cache.get(b, s) {
-                return Ok(vals.as_ref().clone());
+                return Ok(vals);
             }
         }
         let vals = self.eval_basic_all_uncached(b, s, depth, parent)?;
         if let Some(cache) = &self.cache {
-            cache.insert(b, s, Arc::new(vals.clone()));
+            cache.insert(b, s, vals.clone());
         }
         Ok(vals)
     }
 
-    fn eval_basic_all_uncached(
+    fn eval_basic_all_uncached<'s>(
         &self,
         b: &Arc<BasicClTerm>,
-        s: &Structure,
+        s: &'s Structure,
         depth: u32,
         parent: Option<&SpanHandle>,
-    ) -> Result<Vec<i64>> {
+    ) -> Result<Arc<Vec<i64>>>
+    where
+        'a: 's,
+    {
         // Parallelise only at the outermost structure: recursive calls on
         // clusters and surgered substructures already run inside a worker.
         let top = std::ptr::eq(s, self.a);
@@ -453,16 +402,19 @@ impl<'a> CoverEvaluator<'a> {
 
         // One work item per assigned cluster; each yields (element, value)
         // pairs for its own elements only, so writing them back in any
-        // order reproduces the sequential result exactly.
-        let eval_one = |idx: usize| -> Result<Vec<(u32, i64)>> {
-            let pairs = self.eval_one_cluster(b, s, depth, &cover, &members, &cover_handle, idx)?;
-            if top {
-                // Completed one top-level cluster (recursion included):
-                // one unit of anytime progress.
-                self.stats.clusters_done.fetch_add(1, Ordering::Relaxed);
-            }
-            Ok(pairs)
-        };
+        // order reproduces the sequential result exactly. `lev` is the
+        // worker's ball evaluator over `s`, built on first use.
+        let eval_one =
+            |lev: &mut Option<LocalEvaluator<'s>>, idx: usize| -> Result<Vec<(u32, i64)>> {
+                let pairs =
+                    self.eval_one_cluster(b, s, depth, &cover, &members, &cover_handle, idx, lev)?;
+                if top {
+                    // Completed one top-level cluster (recursion included):
+                    // one unit of anytime progress.
+                    self.stats.clusters_done.fetch_add(1, Ordering::Relaxed);
+                }
+                Ok(pairs)
+            };
 
         let idxs: Vec<usize> = (0..cover.clusters.len()).collect();
         let per_cluster: Result<Vec<Vec<(u32, i64)>>> = if threads <= 1 {
@@ -470,13 +422,17 @@ impl<'a> CoverEvaluator<'a> {
             // structured fault as the parallel path.
             let run = || {
                 let mut acc = Vec::with_capacity(idxs.len());
+                let mut lev = None;
                 for &i in &idxs {
-                    let pairs =
-                        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| eval_one(i)))
-                            .map_err(|p| foc_locality::LocalityError::WorkerPanicked {
+                    let pairs = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                        eval_one(&mut lev, i)
+                    }))
+                    .map_err(|p| {
+                        foc_locality::LocalityError::WorkerPanicked {
                             payload: foc_parallel::panic_message(p.as_ref()),
                             item_index: i,
-                        })??;
+                        }
+                    })??;
                     acc.push(pairs);
                 }
                 Ok(acc)
@@ -493,12 +449,17 @@ impl<'a> CoverEvaluator<'a> {
                 self.removal_plan(b);
             }
             let meter = self.obs.as_ref().map(|o| &o.meter);
-            foc_parallel::par_map_isolated(&idxs, threads, meter, |_, &i| eval_one(i)).map_err(
-                |fault| match fault {
-                    foc_parallel::Fault::Error(e) => e,
-                    foc_parallel::Fault::Panic(p) => p.into(),
-                },
+            foc_parallel::par_map_isolated(
+                &idxs,
+                threads,
+                meter,
+                || None,
+                |lev, _, &i| eval_one(lev, i),
             )
+            .map_err(|fault| match fault {
+                foc_parallel::Fault::Error(e) => e,
+                foc_parallel::Fault::Panic(p) => p.into(),
+            })
         };
         // A budget trip inside the per-cluster stage reports wherever the
         // crossing worker happened to be (cover recursion, ball
@@ -517,23 +478,28 @@ impl<'a> CoverEvaluator<'a> {
                 out[a as usize] = v;
             }
         }
-        Ok(out)
+        Ok(Arc::new(out))
     }
 
     /// One cluster of the per-cluster loop: evaluate the basic cl-term
     /// for the elements assigned to cluster `idx`, recursing through the
-    /// removal machinery on the induced substructure.
+    /// removal machinery on the induced substructure. `lev` is the
+    /// calling worker's ball evaluator over `s`.
     #[allow(clippy::too_many_arguments)]
-    fn eval_one_cluster(
+    fn eval_one_cluster<'s>(
         &self,
         b: &Arc<BasicClTerm>,
-        s: &Structure,
+        s: &'s Structure,
         depth: u32,
         cover: &NeighborhoodCover,
         members: &[Vec<u32>],
         cover_handle: &Option<SpanHandle>,
         idx: usize,
-    ) -> Result<Vec<(u32, i64)>> {
+        lev: &mut Option<LocalEvaluator<'s>>,
+    ) -> Result<Vec<(u32, i64)>>
+    where
+        'a: 's,
+    {
         self.guard.check(Phase::Cover)?;
         let cluster = &cover.clusters[idx];
         let q = &members[idx];
@@ -557,7 +523,10 @@ impl<'a> CoverEvaluator<'a> {
             // at this radius the structure is not locally sparse, so
             // the removal recursion cannot win — evaluate the
             // assigned elements by ball enumeration instead.
-            let mut lev = self.local_for(s, cluster_handle.as_ref());
+            let lev = lev.get_or_insert_with(|| self.local_for(s, None));
+            if let Some(h) = &cluster_handle {
+                lev.set_observer(h.clone());
+            }
             let mut pairs = Vec::with_capacity(q.len());
             for &a in q {
                 pairs.push((a, lev.eval_basic_at(b, a)?));
@@ -639,7 +608,7 @@ impl<'a> CoverEvaluator<'a> {
         cluster: &Structure,
         depth: u32,
         parent: Option<&SpanHandle>,
-    ) -> Result<Vec<i64>> {
+    ) -> Result<Arc<Vec<i64>>> {
         self.guard.check(Phase::Cover)?;
         if depth == 0
             || cluster.order() <= self.config.direct_threshold
@@ -712,7 +681,7 @@ impl<'a> CoverEvaluator<'a> {
                 )?;
             }
         }
-        Ok(out)
+        Ok(Arc::new(out))
     }
 
     /// Evaluates one rewritten counting component on `s`: decomposed
@@ -788,39 +757,12 @@ impl<'a> CoverEvaluator<'a> {
         depth: u32,
         parent: Option<&SpanHandle>,
     ) -> Result<Vec<i64>> {
-        let mut unary_vals: FxHashMap<usize, Vec<i64>> = FxHashMap::default();
-        let mut ground_vals: FxHashMap<usize, i64> = FxHashMap::default();
-        for basic in cl.basics() {
-            let key = Arc::as_ptr(&basic) as usize;
-            if basic.unary {
-                if let std::collections::hash_map::Entry::Vacant(e) = unary_vals.entry(key) {
-                    let vals = self.eval_basic_all(&basic, s, depth, parent)?;
-                    e.insert(vals);
-                }
-            } else if let std::collections::hash_map::Entry::Vacant(e) = ground_vals.entry(key) {
-                let vals = self.eval_basic_all(&basic, s, depth, parent)?;
-                let mut acc = 0i64;
-                for v in vals {
-                    acc = acc.checked_add(v).ok_or(foc_locality::LocalityError::Eval(
-                        foc_eval::EvalError::Overflow,
-                    ))?;
-                }
-                e.insert(acc);
-            }
-        }
-        let mut out = Vec::with_capacity(s.order() as usize);
-        for a in s.universe() {
-            let val = cl.eval_with(&mut |basic| {
-                let key = Arc::as_ptr(basic) as usize;
-                if basic.unary {
-                    Ok(unary_vals[&key][a as usize])
-                } else {
-                    Ok(ground_vals[&key])
-                }
-            })?;
-            out.push(val);
-        }
-        Ok(out)
+        Ok(
+            match eval_clterm_vectors(cl, &mut |b| self.eval_basic_all(b, s, depth, parent))? {
+                ClValue::Scalar(x) => vec![x; s.order() as usize],
+                ClValue::Vector(v) => v,
+            },
+        )
     }
 }
 
@@ -834,31 +776,6 @@ pub fn max_dist_bound(f: &Formula) -> u32 {
             gs.iter().map(|g| max_dist_bound(g)).max().unwrap_or(0)
         }
         _ => 0,
-    }
-}
-
-fn combine(a: ClValue, b: ClValue, op: impl Fn(i64, i64) -> Option<i64>) -> Result<ClValue> {
-    let overflow = || foc_locality::LocalityError::Eval(foc_eval::EvalError::Overflow);
-    match (a, b) {
-        (ClValue::Scalar(x), ClValue::Scalar(y)) => {
-            Ok(ClValue::Scalar(op(x, y).ok_or_else(overflow)?))
-        }
-        (ClValue::Scalar(x), ClValue::Vector(ys)) => Ok(ClValue::Vector(
-            ys.into_iter()
-                .map(|y| op(x, y).ok_or_else(overflow))
-                .collect::<Result<_>>()?,
-        )),
-        (ClValue::Vector(xs), ClValue::Scalar(y)) => Ok(ClValue::Vector(
-            xs.into_iter()
-                .map(|x| op(x, y).ok_or_else(overflow))
-                .collect::<Result<_>>()?,
-        )),
-        (ClValue::Vector(xs), ClValue::Vector(ys)) => Ok(ClValue::Vector(
-            xs.into_iter()
-                .zip(ys)
-                .map(|(x, y)| op(x, y).ok_or_else(overflow))
-                .collect::<Result<_>>()?,
-        )),
     }
 }
 

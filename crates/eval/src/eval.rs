@@ -16,16 +16,17 @@
 
 use foc_guard::{Guard, Phase};
 use foc_logic::{Formula, Predicates, Term, Var};
-use foc_structures::{BfsScratch, FxHashMap, Structure};
+use foc_structures::{BfsScratch, FxHashMap, Signature, Structure};
 
 use crate::error::{EvalError, Result};
 use crate::validate::{validate_formula, validate_term};
 
 /// A partial assignment `β : vars → A` (only finitely many bindings are
-/// ever consulted).
+/// ever consulted). Formulas bind a handful of variables at a time, so
+/// the bindings are a short list searched from the most recent one.
 #[derive(Debug, Default, Clone)]
 pub struct Assignment {
-    map: FxHashMap<Var, u32>,
+    binds: Vec<(Var, u32)>,
 }
 
 impl Assignment {
@@ -34,32 +35,49 @@ impl Assignment {
         Assignment::default()
     }
 
-    /// An assignment binding `vars[i] ↦ vals[i]`.
+    /// An assignment binding `vars[i] ↦ vals[i]` (a later pair for the
+    /// same variable wins).
     pub fn from_pairs(pairs: impl IntoIterator<Item = (Var, u32)>) -> Assignment {
-        Assignment {
-            map: pairs.into_iter().collect(),
+        let mut env = Assignment::new();
+        for (v, a) in pairs {
+            env.bind(v, a);
         }
+        env
+    }
+
+    #[inline]
+    fn slot(&self, v: Var) -> Option<usize> {
+        self.binds.iter().rposition(|&(w, _)| w == v)
     }
 
     /// Current binding of `v`, if any.
+    #[inline]
     pub fn get(&self, v: Var) -> Option<u32> {
-        self.map.get(&v).copied()
+        self.slot(v).map(|i| self.binds[i].1)
     }
 
     /// Binds `v ↦ a`, returning the previous binding.
+    #[inline]
     pub fn bind(&mut self, v: Var, a: u32) -> Option<u32> {
-        self.map.insert(v, a)
+        match self.slot(v) {
+            Some(i) => Some(std::mem::replace(&mut self.binds[i].1, a)),
+            None => {
+                self.binds.push((v, a));
+                None
+            }
+        }
     }
 
     /// Restores a previous binding (or removes `v` if there was none).
+    #[inline]
     pub fn restore(&mut self, v: Var, prev: Option<u32>) {
-        match prev {
-            Some(a) => {
-                self.map.insert(v, a);
+        match (self.slot(v), prev) {
+            (Some(i), Some(a)) => self.binds[i].1 = a,
+            (Some(i), None) => {
+                self.binds.remove(i);
             }
-            None => {
-                self.map.remove(&v);
-            }
+            (None, Some(a)) => self.binds.push((v, a)),
+            (None, None) => {}
         }
     }
 }
@@ -72,16 +90,34 @@ pub struct EvalStats {
     pub assignments_tried: u64,
     /// Atom membership tests.
     pub atom_tests: u64,
-    /// Bounded-BFS distance queries.
+    /// `dist(x, y) ≤ d` atoms evaluated.
     pub dist_queries: u64,
+    /// BFS runs behind those atoms, counting the balls that `dist`
+    /// guards enumerate candidates from; every other atom was answered
+    /// from the layers of the previous run (`dist_queries − dist_bfs`
+    /// memo hits).
+    pub dist_bfs: u64,
     /// Numerical predicate oracle calls.
     pub oracle_calls: u64,
+}
+
+/// A formula that passed static validation against one structure's
+/// signature and one predicate collection. Only
+/// [`NaiveEvaluator::validate`] makes one, so a caller checking the same
+/// formula under many assignments validates it once.
+#[derive(Debug, Clone, Copy)]
+pub struct Validated<'f> {
+    formula: &'f Formula,
+    sig: &'f Signature,
+    preds: &'f Predicates,
 }
 
 /// The reference evaluator over one structure and predicate collection.
 pub struct NaiveEvaluator<'a> {
     structure: &'a Structure,
     preds: &'a Predicates,
+    /// Layers of the last BFS over the Gaifman graph; `dist` atoms with
+    /// that source as either endpoint are answered from them.
     scratch: BfsScratch,
     /// Values of *closed* counting terms (no free variables): they do not
     /// depend on the assignment, so they are computed once per structure.
@@ -136,6 +172,31 @@ impl<'a> NaiveEvaluator<'a> {
         self.formula(f, env)
     }
 
+    /// Validates `f` once for [`NaiveEvaluator::check_validated`].
+    pub fn validate<'f>(&self, f: &'f Formula) -> Result<Validated<'f>>
+    where
+        'a: 'f,
+    {
+        let sig: &Signature = self.structure.signature();
+        validate_formula(f, sig, self.preds)?;
+        Ok(Validated {
+            formula: f,
+            sig,
+            preds: self.preds,
+        })
+    }
+
+    /// [`NaiveEvaluator::check`] without re-validating. A formula
+    /// validated for another structure's signature or another predicate
+    /// collection is validated again here.
+    pub fn check_validated(&mut self, f: Validated<'_>, env: &mut Assignment) -> Result<bool> {
+        let sig: &Signature = self.structure.signature();
+        if !std::ptr::eq(f.sig, sig) || !std::ptr::eq(f.preds, self.preds) {
+            validate_formula(f.formula, sig, self.preds)?;
+        }
+        self.formula(f.formula, env)
+    }
+
     /// Evaluates a ground term: `t^A`.
     pub fn eval_ground(&mut self, t: &Term) -> Result<i64> {
         validate_term(t, self.structure.signature(), self.preds)?;
@@ -177,20 +238,35 @@ impl<'a> NaiveEvaluator<'a> {
             }
             Formula::Atom(at) => {
                 self.stats.atom_tests += 1;
-                let mut tuple = Vec::with_capacity(at.args.len());
-                for v in at.args.iter() {
-                    tuple.push(env.get(*v).ok_or(EvalError::UnboundVariable(*v))?);
+                // Short tuples are assembled on the stack.
+                let mut buf = [0u32; 8];
+                let mut spill = Vec::new();
+                let tuple = match buf.get_mut(..at.args.len()) {
+                    Some(t) => t,
+                    None => {
+                        spill.resize(at.args.len(), 0);
+                        &mut spill[..]
+                    }
+                };
+                for (slot, v) in tuple.iter_mut().zip(at.args.iter()) {
+                    *slot = env.get(*v).ok_or(EvalError::UnboundVariable(*v))?;
                 }
-                Ok(self.structure.holds(at.rel, &tuple))
+                Ok(self.structure.holds(at.rel, tuple))
             }
             Formula::DistLe { x, y, d } => {
                 let a = env.get(*x).ok_or(EvalError::UnboundVariable(*x))?;
                 let b = env.get(*y).ok_or(EvalError::UnboundVariable(*y))?;
                 self.stats.dist_queries += 1;
-                Ok(self
-                    .structure
-                    .gaifman()
-                    .dist_le(a, b, *d, &mut self.scratch))
+                if a == b {
+                    return Ok(true);
+                }
+                let (from, to) = if self.memo_covers(b, *d) {
+                    (b, a)
+                } else {
+                    (a, b)
+                };
+                self.layers_from(from, *d);
+                Ok(self.scratch.dist(to).is_some_and(|x| x <= *d))
             }
             Formula::Not(g) => Ok(!self.formula(g, env)?),
             Formula::And(gs) => {
@@ -462,8 +538,8 @@ impl<'a> NaiveEvaluator<'a> {
                     None
                 };
                 if let Some(a) = anchor {
-                    let ball = self.structure.gaifman().ball(&[a], *d, &mut self.scratch);
-                    keep_smaller(best, ball);
+                    self.layers_from(a, *d);
+                    keep_smaller(best, self.scratch.within(*d).to_vec());
                 }
             }
             Formula::Atom(at) if at.args.contains(&var) => {
@@ -507,6 +583,22 @@ impl<'a> NaiveEvaluator<'a> {
                 keep_smaller(best, vals);
             }
             _ => {}
+        }
+    }
+}
+
+impl NaiveEvaluator<'_> {
+    /// Whether the last BFS from `src` reached at least radius `d`.
+    fn memo_covers(&self, src: u32, d: u32) -> bool {
+        self.scratch.source() == Some(src) && d <= self.scratch.cap()
+    }
+
+    /// Leaves BFS layers from `src` covering radius `d` in the scratch,
+    /// reusing the last run when it does.
+    fn layers_from(&mut self, src: u32, d: u32) {
+        if !self.memo_covers(src, d) {
+            self.stats.dist_bfs += 1;
+            self.structure.gaifman().bfs(src, d, &mut self.scratch);
         }
     }
 }
@@ -666,6 +758,65 @@ mod tests {
         assert!(matches!(
             ev.check(&atom("E", [v("x"), v("y")]), &mut env),
             Err(EvalError::UnboundVariable(_))
+        ));
+    }
+
+    #[test]
+    fn dist_atoms_reuse_the_last_bfs() {
+        let s = cycle(9);
+        let p = preds();
+        let mut ev = NaiveEvaluator::new(&s, &p);
+        let (x, y) = (v("x"), v("y"));
+        let brute = |a: u32, b: u32, d: u32| {
+            let mut scratch = BfsScratch::new();
+            s.gaifman().dist_le(a, b, d, &mut scratch)
+        };
+        let ask = |ev: &mut NaiveEvaluator<'_>, a: u32, b: u32, d: u32, bfs: u64| {
+            let mut env = Assignment::from_pairs([(x, a), (y, b)]);
+            let got = ev.check(&dist_le(x, y, d), &mut env).unwrap();
+            assert_eq!(got, brute(a, b, d), "dist({a},{b}) <= {d}");
+            assert_eq!(
+                ev.stats.dist_bfs, bfs,
+                "BFS runs after dist({a},{b}) <= {d}"
+            );
+        };
+        ask(&mut ev, 0, 3, 3, 1); // first query: BFS from 0, cap 3
+        ask(&mut ev, 0, 4, 3, 1); // same source
+        ask(&mut ev, 3, 0, 3, 1); // symmetric hit: 0 is the second argument
+        ask(&mut ev, 0, 3, 2, 1); // smaller radius: a prefix of the layers
+        ask(&mut ev, 0, 4, 4, 2); // radius above the cached cap: recompute
+        ask(&mut ev, 5, 5, 0, 2); // a == b needs no BFS
+        ask(&mut ev, 5, 7, 1, 3); // neither endpoint is the source
+        ask(&mut ev, 7, 5, 1, 3);
+        assert_eq!(ev.stats.dist_queries, 8);
+    }
+
+    #[test]
+    fn validated_formulas_check_like_check() {
+        let s = path(5);
+        let p = preds();
+        let mut ev = NaiveEvaluator::new(&s, &p);
+        let f = and(atom("E", [v("x"), v("y")]), dist_le(v("x"), v("y"), 1));
+        let token = ev.validate(&f).unwrap();
+        for a in s.universe() {
+            for b in s.universe() {
+                let mut env = Assignment::from_pairs([(v("x"), a), (v("y"), b)]);
+                let want = ev.check(&f, &mut env).unwrap();
+                assert_eq!(ev.check_validated(token, &mut env).unwrap(), want);
+            }
+        }
+        assert!(matches!(
+            ev.validate(&atom("F", [v("x")])),
+            Err(EvalError::UnknownRelation(_))
+        ));
+        // A token made for another signature is validated again.
+        let colored = example_colored();
+        let r = atom("R", [v("x")]);
+        let foreign = NaiveEvaluator::new(&colored, &p).validate(&r).unwrap();
+        let mut env = Assignment::from_pairs([(v("x"), 0)]);
+        assert!(matches!(
+            ev.check_validated(foreign, &mut env),
+            Err(EvalError::UnknownRelation(_))
         ));
     }
 

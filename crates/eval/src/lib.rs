@@ -27,6 +27,6 @@ pub mod query;
 pub mod validate;
 
 pub use error::{EvalError, Result};
-pub use eval::{Assignment, EvalStats, NaiveEvaluator};
+pub use eval::{Assignment, EvalStats, NaiveEvaluator, Validated};
 pub use freevars::FreeVarElim;
 pub use query::{eval_query, QueryResult, QueryRow};

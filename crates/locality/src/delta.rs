@@ -152,7 +152,7 @@ mod tests {
             let mut lev = LocalEvaluator::new(&old, &preds);
             for b in &basics {
                 let vals = lev.eval_basic_all(b).unwrap();
-                cache.insert(b, &old, Arc::new(vals));
+                cache.insert(b, &old, vals);
             }
         }
         let info = d
@@ -169,7 +169,7 @@ mod tests {
         for b in &basics {
             let migrated = cache.get(b, &new).expect("entry migrated");
             let fresh = lev.eval_basic_all(b).unwrap();
-            assert_eq!(*migrated, fresh, "term {b:?}");
+            assert_eq!(migrated, fresh, "term {b:?}");
         }
         // Old-epoch entries stay readable until explicitly retired.
         for b in &basics {
@@ -197,7 +197,7 @@ mod tests {
             let mut lev = LocalEvaluator::new(&old, &preds);
             for b in &basics {
                 let vals = lev.eval_basic_all(b).unwrap();
-                cache.insert(b, &old, Arc::new(vals));
+                cache.insert(b, &old, vals);
             }
         }
         d.apply(&[TupleOp::insert("E", &[0, 5]), TupleOp::insert("E", &[5, 0])])

@@ -53,5 +53,5 @@ pub use delta::{migrate_cache, MigrationStats};
 pub use error::{LocalityError, Result};
 pub use gk::Gk;
 pub use gnf::gaifman_nf;
-pub use local_eval::{ClValue, LocalEvaluator, LocalStats};
+pub use local_eval::{eval_clterm_vectors, ClValue, LocalEvaluator, LocalStats};
 pub use radius::locality_radius;

@@ -1,11 +1,21 @@
 //! Ball-based evaluation of basic cl-terms (Remark 6.3): because the
 //! connectivity graph of a basic cl-term is connected, the value
 //! `u^A[a]` only depends on the `R`-neighbourhood of `a`, with
-//! `R = r_body + (k−1)·(2r+1)` (Lemma 6.1). The evaluator therefore
-//! explores `N_R(a)`, builds its induced substructure once, and
-//! backtracks over tuple extensions along the edges of `G`, checking the
-//! δ-constraints with bounded BFS inside the ball and the local body with
-//! the reference evaluator on the ball.
+//! `R = r_body + (k−1)·(2r+1)` (Lemma 6.1). The evaluator extends tuples
+//! from `y₁ = a` along the edges of `G`, in BFS order of `G`.
+//!
+//! Every tuple position that later positions are checked against gets
+//! one level-ordered BFS of radius `2r+1` from its value, kept in a
+//! reusable per-depth buffer ([`BfsScratch`]). Its δ-constraints are then
+//! array lookups, and the candidates for a later position are a prefix
+//! of an earlier position's reached list: the δ-ball of an assigned
+//! `G`-neighbour or, when a positive top-level conjunct
+//! `dist(y_i, y_j) ≤ d` ties the position to an earlier one, the smaller
+//! radius-`d` ball around `y_j`. A relational-index lookup through a
+//! positive guard atom replaces both when it is smaller. Complete tuples
+//! are checked by one reference evaluator that lives as long as this
+//! one: it gets the body validated once per term and answers `dist`
+//! atoms from the layers of its last BFS.
 //!
 //! On classes with polynomial ball growth (bounded degree, trees, grids,
 //! bounded expansion…) this yields the paper's fixed-parameter
@@ -14,9 +24,9 @@
 
 use std::sync::Arc;
 
-use foc_eval::{Assignment, NaiveEvaluator};
+use foc_eval::{Assignment, EvalError, NaiveEvaluator, Validated};
 use foc_guard::{Guard, Phase};
-use foc_logic::Predicates;
+use foc_logic::{Formula, Predicates, Var};
 use foc_obs::{names, pow2_buckets, Counter, Histogram, SpanHandle};
 use foc_parallel::ParMeter;
 use foc_structures::{BfsScratch, FxHashMap, Structure};
@@ -70,13 +80,79 @@ impl ClValue {
     }
 }
 
+/// A cl-term value while it is being combined: vectors stay shared with
+/// the memo caches until the final [`ClValue`] is built.
+#[derive(Clone)]
+enum Partial {
+    Scalar(i64),
+    Vector(Arc<Vec<i64>>),
+}
+
+impl From<Partial> for ClValue {
+    fn from(v: Partial) -> ClValue {
+        match v {
+            Partial::Scalar(s) => ClValue::Scalar(s),
+            Partial::Vector(v) => {
+                ClValue::Vector(Arc::try_unwrap(v).unwrap_or_else(|v| v.as_ref().clone()))
+            }
+        }
+    }
+}
+
+/// What the enumeration for one basic cl-term needs, worked out once per
+/// term rather than once per element.
+struct Plan<'t> {
+    b: &'t BasicClTerm,
+    /// The body, validated once. An invalid body is reported at the first
+    /// checked tuple, as validating every check would.
+    body: std::result::Result<Validated<'t>, EvalError>,
+    /// BFS order of `G`: depth `i` assigns tuple position `order[i]`.
+    order: Vec<usize>,
+    /// The δ bound `2r+1`.
+    bound: u32,
+    /// `guards[i]`: `(j, d)` for each positive top-level conjunct
+    /// `dist ≤ d` between the positions of depth `i` and of an earlier
+    /// depth `j`.
+    guards: Vec<Vec<(usize, u32)>>,
+}
+
+/// One assigned position of the tuple under construction.
+#[derive(Debug, Clone, Copy)]
+struct Placed {
+    /// The position in the tuple (a vertex of `G`).
+    node: usize,
+    val: u32,
+    /// The depth whose layer buffer holds the BFS from `val`.
+    layers: usize,
+}
+
+/// Reusable state of one enumeration depth.
+#[derive(Debug, Default)]
+struct Depth {
+    /// BFS layers of radius `2r+1` around this depth's value.
+    layers: BfsScratch,
+    /// Candidate values for this depth.
+    cands: Vec<u32>,
+}
+
 /// Evaluates basic cl-terms by neighbourhood exploration.
 pub struct LocalEvaluator<'a> {
     a: &'a Structure,
     preds: &'a Predicates,
-    scratch: BfsScratch,
+    /// Checks complete tuples against the body; kept for the evaluator's
+    /// lifetime, so its `dist` memo carries over from tuple to tuple.
+    ev: NaiveEvaluator<'a>,
+    /// The tuple under construction, bound and restored position by
+    /// position.
+    env: Assignment,
+    /// The assigned positions, in depth order.
+    path: Vec<Placed>,
+    /// Per-depth layer and candidate buffers, reused across elements and
+    /// terms.
+    depths: Vec<Depth>,
     /// Derive tuple candidates from guard atoms (relational-index
-    /// lookups) in addition to δ-balls. Ablation toggle for E11.
+    /// lookups) and positive `dist` conjuncts in addition to δ-balls.
+    /// Ablation toggle for E11.
     pub use_atom_candidates: bool,
     /// Skip elements outside the guard-atom support of `y₁`. Ablation
     /// toggle for E11.
@@ -107,7 +183,10 @@ impl<'a> LocalEvaluator<'a> {
         LocalEvaluator {
             a,
             preds,
-            scratch: BfsScratch::new(),
+            ev: NaiveEvaluator::new(a, preds),
+            env: Assignment::new(),
+            path: Vec::new(),
+            depths: Vec::new(),
             use_atom_candidates: true,
             use_support: true,
             threads: 1,
@@ -129,6 +208,7 @@ impl<'a> LocalEvaluator<'a> {
     /// reference evaluator and every parallel worker this evaluator
     /// spawns.
     pub fn set_guard(&mut self, guard: Guard) {
+        self.ev.set_guard(guard.clone());
         self.guard = guard;
     }
 
@@ -180,158 +260,183 @@ impl<'a> LocalEvaluator<'a> {
             .saturating_add((k - 1).saturating_mul(b.delta_bound()))
     }
 
+    /// Works out the per-term part of the enumeration for `b`.
+    fn plan<'t>(&self, b: &'t BasicClTerm) -> Plan<'t>
+    where
+        'a: 't,
+    {
+        let order = b.graph.bfs_order();
+        debug_assert_eq!(order[0], 0);
+        let mut conjuncts = Vec::new();
+        dist_conjuncts(&b.body, &mut Vec::new(), &mut conjuncts);
+        let depth_of = |v: Var| order.iter().position(|&node| b.vars[node] == v);
+        let mut guards = vec![Vec::new(); order.len()];
+        for (x, y, d) in conjuncts {
+            if let (Some(i), Some(j)) = (depth_of(x), depth_of(y)) {
+                if i != j {
+                    guards[i.max(j)].push((i.min(j), d));
+                }
+            }
+        }
+        Plan {
+            b,
+            body: self.ev.validate(&b.body),
+            // `BasicClTerm::new` validated the bound via `checked_delta_bound`.
+            bound: u32::try_from(b.delta_bound())
+                .unwrap_or_else(|_| unreachable!("delta bound fits u32")),
+            order,
+            guards,
+        }
+    }
+
     /// `u^A[a]` for a unary (or ground-used-as-unary) basic cl-term: the
     /// number of extensions `(a₂,…,a_k)` with `y₁ = a` satisfying
     /// `ψ ∧ δ_G,2r+1`.
     ///
     /// The enumeration is ball-local by construction (candidates come
-    /// from bounded-BFS distance maps, so only `N_R(a)` is ever touched,
-    /// with `R` the exploration radius of Lemma 6.1); the body is checked
+    /// from bounded BFS layers, so only `N_R(a)` is ever touched, with
+    /// `R` the exploration radius of Lemma 6.1); the body is checked
     /// directly in `A` — its value at a tuple *is* the cl-term's
     /// semantics, and the candidate-driven reference evaluator keeps that
     /// check neighbourhood-local for the separable fragment.
     pub fn eval_basic_at(&mut self, b: &BasicClTerm, a: u32) -> Result<i64> {
+        let plan = self.plan(b);
+        self.eval_planned(&plan, a)
+    }
+
+    fn eval_planned(&mut self, plan: &Plan<'_>, a: u32) -> Result<i64> {
         self.guard.check(Phase::BallEnum)?;
         if self.fault_panic_element == Some(a) {
             panic!("injected fault at element {a}");
         }
-        let k = b.width();
-        if k == 1 {
-            // Width-1 term: the count is 1 iff ψ holds at a.
-            let mut ev = NaiveEvaluator::new(self.a, self.preds);
-            ev.set_guard(self.guard.clone());
-            let mut env = Assignment::from_pairs([(b.vars[0], a)]);
-            self.note_tuple();
-            return Ok(if ev.check(&b.body, &mut env)? { 1 } else { 0 });
+        if self.depths.len() < plan.order.len() {
+            self.depths.resize_with(plan.order.len(), Depth::default);
         }
-
-        // `BasicClTerm::new` validated the bound via `checked_delta_bound`.
-        let bound =
-            u32::try_from(b.delta_bound()).unwrap_or_else(|_| unreachable!("delta bound fits u32"));
-        let order = b.graph.bfs_order();
-        debug_assert_eq!(order[0], 0);
-
-        // Bounded-BFS distance maps from every assigned value (lazy).
-        let mut dist_maps: FxHashMap<u32, FxHashMap<u32, u32>> = FxHashMap::default();
-        let start_map = self.a.gaifman().distances_from(a, bound, &mut self.scratch);
-        self.note_ball(start_map.len() as u64);
-        dist_maps.insert(a, start_map);
-
-        let mut assigned: Vec<(usize, u32)> = vec![(0, a)]; // (graph node, value)
         let mut count: i64 = 0;
-        let mut ev = NaiveEvaluator::new(self.a, self.preds);
-        ev.set_guard(self.guard.clone());
-        self.backtrack(
-            b,
-            &order,
-            1,
-            &mut assigned,
-            &mut dist_maps,
-            &mut ev,
-            &mut count,
-        )?;
-        Ok(count)
+        self.path.clear();
+        let var = plan.b.vars[plan.order[0]];
+        let prev = self.env.bind(var, a);
+        let result = if plan.order.len() == 1 {
+            self.check_tuple(plan, &mut count)
+        } else {
+            self.descend(plan, 0, a, &mut count)
+        };
+        self.env.restore(var, prev);
+        result.map(|()| count)
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn backtrack(
-        &mut self,
-        b: &BasicClTerm,
-        order: &[usize],
-        idx: usize,
-        assigned: &mut Vec<(usize, u32)>,
-        dist_maps: &mut FxHashMap<u32, FxHashMap<u32, u32>>,
-        ev: &mut NaiveEvaluator<'_>,
-        count: &mut i64,
-    ) -> Result<()> {
-        if idx == order.len() {
-            // δ fully checked along the way; test the body.
-            let mut env =
-                Assignment::from_pairs(assigned.iter().map(|&(node, val)| (b.vars[node], val)));
-            self.note_tuple();
-            if ev.check(&b.body, &mut env)? {
-                *count = count
-                    .checked_add(1)
-                    .ok_or(LocalityError::Eval(foc_eval::EvalError::Overflow))?;
-            }
-            return Ok(());
-        }
-        let node = order[idx];
-        // `BasicClTerm::new` validated the bound via `checked_delta_bound`.
-        let bound =
-            u32::try_from(b.delta_bound()).unwrap_or_else(|_| unreachable!("delta bound fits u32"));
-        // Candidates: preferably from a positive guard atom of the body
-        // that mentions this variable together with an assigned one
-        // (a relational-index lookup); otherwise from the δ-ball of an
-        // assigned G-neighbour (BFS order guarantees one exists). Values
-        // outside the guard atom's rows falsify the body, and values
-        // outside the ball falsify δ, so both candidate sets are sound.
-        let atom_cands = if self.use_atom_candidates {
-            self.atom_candidates(b, node, assigned)
-        } else {
-            None
-        };
-        let candidates: Vec<u32> = match atom_cands {
-            Some(c) => c,
+    /// Records `val`, already bound at depth `idx` (not the last depth),
+    /// and counts the satisfying extensions.
+    fn descend(&mut self, plan: &Plan<'_>, idx: usize, val: u32, count: &mut i64) -> Result<()> {
+        // A value repeated from an earlier depth shares that depth's
+        // layers.
+        let layers = match self.path.iter().find(|p| p.val == val) {
+            Some(p) => p.layers,
             None => {
-                let anchor = assigned
-                    .iter()
-                    .find(|&&(m, _)| b.graph.edge(node, m))
-                    .map(|&(_, val)| val)
-                    .unwrap_or_else(|| unreachable!("BFS order guarantees an assigned neighbour"));
-                dist_maps
-                    .get(&anchor)
-                    .unwrap_or_else(|| unreachable!("anchor map materialised"))
-                    .keys()
-                    .copied()
-                    .collect()
+                let buf = &mut self.depths[idx].layers;
+                self.a.gaifman().bfs(val, plan.bound, buf);
+                let reached = buf.within(plan.bound).len() as u64;
+                self.note_ball(reached);
+                idx
             }
         };
-        'cand: for cand in candidates {
-            self.guard.check(Phase::BallEnum)?;
-            // Check the δ-constraints against every assigned node.
-            for &(m, val) in assigned.iter() {
-                let close = dist_maps
-                    .get(&val)
-                    .unwrap_or_else(|| unreachable!("assigned maps materialised"))
-                    .contains_key(&cand);
-                if close != b.graph.edge(node, m) {
-                    continue 'cand;
-                }
-            }
-            // A candidate's own distance map is only needed when deeper
-            // tuple positions will check δ-constraints against it.
-            if idx + 1 < order.len() && !dist_maps.contains_key(&cand) {
-                let map = self
-                    .a
-                    .gaifman()
-                    .distances_from(cand, bound, &mut self.scratch);
-                self.note_ball(map.len() as u64);
-                dist_maps.insert(cand, map);
-            }
-            assigned.push((node, cand));
-            self.backtrack(b, order, idx + 1, assigned, dist_maps, ev, count)?;
-            assigned.pop();
+        let node = plan.order[idx];
+        self.path.push(Placed { node, val, layers });
+        let result = self.extend(plan, idx + 1, count);
+        self.path.pop();
+        result
+    }
+
+    /// Tests the complete tuple bound in `env` against the body.
+    fn check_tuple(&mut self, plan: &Plan<'_>, count: &mut i64) -> Result<()> {
+        self.note_tuple();
+        let body = plan.body.as_ref().map_err(|e| e.clone())?;
+        if self.ev.check_validated(*body, &mut self.env)? {
+            *count = count
+                .checked_add(1)
+                .ok_or(LocalityError::Eval(EvalError::Overflow))?;
         }
         Ok(())
+    }
+
+    /// Enumerates the values of depth `idx` that keep every δ-constraint
+    /// against the assigned depths, binding each in turn.
+    fn extend(&mut self, plan: &Plan<'_>, idx: usize, count: &mut i64) -> Result<()> {
+        let node = plan.order[idx];
+        let var = plan.b.vars[node];
+        let last = idx + 1 == plan.order.len();
+        let mut cands = std::mem::take(&mut self.depths[idx].cands);
+        self.candidates(plan, idx, &mut cands);
+        let prev = self.env.get(var);
+        let result = (|| {
+            'cand: for &cand in &cands {
+                self.guard.check(Phase::BallEnum)?;
+                for p in &self.path {
+                    let close = self.depths[p.layers]
+                        .layers
+                        .dist(cand)
+                        .is_some_and(|d| d <= plan.bound);
+                    if close != plan.b.graph.edge(node, p.node) {
+                        continue 'cand;
+                    }
+                }
+                self.env.bind(var, cand);
+                if last {
+                    self.check_tuple(plan, count)?;
+                } else {
+                    self.descend(plan, idx, cand, count)?;
+                }
+            }
+            Ok(())
+        })();
+        self.env.restore(var, prev);
+        self.depths[idx].cands = cands;
+        result
+    }
+
+    /// Fills `out` with the smallest of the candidate sets for depth
+    /// `idx`: the δ-ball of an assigned `G`-neighbour (BFS order
+    /// guarantees one), the radius-`d` ball of each `dist ≤ d` guard, and
+    /// the rows of a positive guard atom that mentions this position
+    /// with an assigned one. Values outside a guard's set falsify the
+    /// body and values outside the δ-ball falsify δ, so each is sound.
+    fn candidates(&self, plan: &Plan<'_>, idx: usize, out: &mut Vec<u32>) {
+        let node = plan.order[idx];
+        let anchor = self
+            .path
+            .iter()
+            .find(|p| plan.b.graph.edge(node, p.node))
+            .unwrap_or_else(|| unreachable!("BFS order guarantees an assigned neighbour"));
+        let mut best = self.depths[anchor.layers].layers.within(plan.bound);
+        if self.use_atom_candidates {
+            for &(j, d) in &plan.guards[idx] {
+                let layers = &self.depths[self.path[j].layers].layers;
+                if d <= layers.cap() && layers.within(d).len() < best.len() {
+                    best = layers.within(d);
+                }
+            }
+            if let Some(rows) = self.atom_candidates(plan.b, node) {
+                if rows.len() <= best.len() {
+                    *out = rows;
+                    return;
+                }
+            }
+        }
+        out.clear();
+        out.extend_from_slice(best);
     }
 
     /// The *support* of `y₁`: if the body has a positive atom conjunct
     /// containing `y₁`, only elements occurring at those atom positions
     /// can have a non-zero count. `None` means "no restriction".
     fn support(&self, b: &BasicClTerm) -> Option<Vec<u32>> {
-        fn find(
-            f: &foc_logic::Formula,
-            var: foc_logic::Var,
-            s: &Structure,
-            best: &mut Option<Vec<u32>>,
-        ) {
+        fn find(f: &Formula, var: Var, s: &Structure, best: &mut Option<Vec<u32>>) {
             match f {
-                foc_logic::Formula::And(parts) => {
+                Formula::And(parts) => {
                     parts.iter().for_each(|p| find(p, var, s, best));
                 }
-                foc_logic::Formula::Exists(z, g) if *z != var => find(g, var, s, best),
-                foc_logic::Formula::Atom(at) if at.args.contains(&var) => {
+                Formula::Exists(z, g) if *z != var => find(g, var, s, best),
+                Formula::Atom(at) if at.args.contains(&var) => {
                     let Some(rel) = s.relation(at.rel) else {
                         return;
                     };
@@ -371,36 +476,42 @@ impl<'a> LocalEvaluator<'a> {
     /// Candidate values for tuple position `node` from a positive guard
     /// atom of the body mentioning it together with an assigned
     /// variable — a relational-index lookup instead of a ball scan.
-    fn atom_candidates(
-        &self,
-        b: &BasicClTerm,
-        node: usize,
-        assigned: &[(usize, u32)],
-    ) -> Option<Vec<u32>> {
-        let var = b.vars[node];
-        let env: FxHashMap<foc_logic::Var, u32> =
-            assigned.iter().map(|&(m, val)| (b.vars[m], val)).collect();
-        let mut shadowed: Vec<foc_logic::Var> = Vec::new();
+    fn atom_candidates(&self, b: &BasicClTerm, node: usize) -> Option<Vec<u32>> {
+        let bound = |v: Var| {
+            self.path
+                .iter()
+                .find(|p| b.vars[p.node] == v)
+                .map(|p| p.val)
+        };
+        let mut shadowed: Vec<Var> = Vec::new();
         let mut best: Option<Vec<u32>> = None;
-        collect_atom_candidates(&b.body, var, &env, self.a, &mut shadowed, &mut best);
+        collect_atom_candidates(
+            &b.body,
+            b.vars[node],
+            &bound,
+            self.a,
+            &mut shadowed,
+            &mut best,
+        );
         best
     }
 
     /// `u^A[a]` for all elements at once (elements outside the guard-atom
     /// support are 0 without exploring their neighbourhood). Consults the
     /// attached [`TermCache`] and fans the per-element loop out over
-    /// [`LocalEvaluator::threads`] workers.
-    pub fn eval_basic_all(&mut self, b: &BasicClTerm) -> Result<Vec<i64>> {
+    /// [`LocalEvaluator::threads`] workers. A cached vector is shared, not
+    /// copied.
+    pub fn eval_basic_all(&mut self, b: &BasicClTerm) -> Result<Arc<Vec<i64>>> {
         self.guard.check(Phase::BallEnum)?;
-        if let Some(cache) = self.cache.clone() {
-            if let Some(vals) = cache.get(b, self.a) {
-                return Ok(vals.as_ref().clone());
-            }
-            let vals = self.eval_basic_all_uncached(b)?;
-            cache.insert(b, self.a, Arc::new(vals.clone()));
+        let Some(cache) = self.cache.clone() else {
+            return Ok(Arc::new(self.eval_basic_all_uncached(b)?));
+        };
+        if let Some(vals) = cache.get(b, self.a) {
             return Ok(vals);
         }
-        self.eval_basic_all_uncached(b)
+        let vals = Arc::new(self.eval_basic_all_uncached(b)?);
+        cache.insert(b, self.a, vals.clone());
+        Ok(vals)
     }
 
     fn eval_basic_all_uncached(&mut self, b: &BasicClTerm) -> Result<Vec<i64>> {
@@ -422,6 +533,7 @@ impl<'a> LocalEvaluator<'a> {
             Some(support) => support,
             None => self.a.universe().collect(),
         };
+        let plan = self.plan(b);
         let mut out = vec![0i64; self.a.order() as usize];
         let threads = foc_parallel::resolve_threads(self.threads).min(elems.len().max(1));
         if threads <= 1 {
@@ -429,7 +541,7 @@ impl<'a> LocalEvaluator<'a> {
             // structured fault as the parallel path.
             for (i, a) in elems.into_iter().enumerate() {
                 let v = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    self.eval_basic_at(b, a)
+                    self.eval_planned(&plan, a)
                 }))
                 .map_err(|p| LocalityError::WorkerPanicked {
                     payload: foc_parallel::panic_message(p.as_ref()),
@@ -439,34 +551,40 @@ impl<'a> LocalEvaluator<'a> {
             }
             return Ok(out);
         }
-        // Elements are independent, so fan out with per-worker state
-        // (each worker gets its own scratch and counters); values are
-        // written back under their element id and the counters summed,
-        // making the result and the stats independent of scheduling.
-        // Workers inherit the observer clone, so registry counters and
-        // the ball-size histogram see their events live. A panicking
-        // worker is contained: the fan-out drains, every thread joins,
-        // and the panic surfaces as `WorkerPanicked`.
+        // Elements are independent, so fan out with one evaluator per
+        // worker (its layer buffers are sized once, not per element);
+        // values are written back under their element id and the
+        // per-element counters summed, making the result and the stats
+        // independent of scheduling. Workers inherit the observer clone,
+        // so registry counters and the ball-size histogram see their
+        // events live. A panicking worker is contained: the fan-out
+        // drains, every thread joins, and the panic surfaces as
+        // `WorkerPanicked`.
         let (a, preds) = (self.a, self.preds);
         let (cands, supp) = (self.use_atom_candidates, self.use_support);
         let obs = self.obs.clone();
         let meter = self.obs.as_ref().map(|o| o.meter.clone());
         let guard = self.guard.clone();
         let fault = self.fault_panic_element;
-        let results = foc_parallel::par_map_isolated(&elems, threads, meter.as_ref(), |_, &e| {
-            let mut worker = LocalEvaluator::new(a, preds);
-            worker.use_atom_candidates = cands;
-            worker.use_support = supp;
-            worker.obs = obs.clone();
-            worker.guard = guard.clone();
-            worker.fault_panic_element = fault;
-            let v = worker.eval_basic_at(b, e)?;
-            Ok::<(i64, LocalStats), LocalityError>((v, worker.stats))
-        })
-        .map_err(|fault| match fault {
-            foc_parallel::Fault::Error(e) => e,
-            foc_parallel::Fault::Panic(p) => p.into(),
-        })?;
+        let worker = || {
+            let mut w = LocalEvaluator::new(a, preds);
+            w.use_atom_candidates = cands;
+            w.use_support = supp;
+            w.obs = obs.clone();
+            w.set_guard(guard.clone());
+            w.fault_panic_element = fault;
+            w
+        };
+        let results =
+            foc_parallel::par_map_isolated(&elems, threads, meter.as_ref(), worker, |w, _, &e| {
+                w.stats = LocalStats::default();
+                let v = w.eval_planned(&plan, e)?;
+                Ok::<(i64, LocalStats), LocalityError>((v, w.stats))
+            })
+            .map_err(|fault| match fault {
+                foc_parallel::Fault::Error(e) => e,
+                foc_parallel::Fault::Panic(p) => p.into(),
+            })?;
         for (&e, (v, st)) in elems.iter().zip(results) {
             out[e as usize] = v;
             self.stats.balls += st.balls;
@@ -479,67 +597,86 @@ impl<'a> LocalEvaluator<'a> {
     /// `g^A` for a ground basic cl-term: `Σ_a u^A[a]` where `u` pins
     /// `y₁ = a` (Remark 6.3).
     pub fn eval_basic_ground(&mut self, b: &BasicClTerm) -> Result<i64> {
-        let mut acc: i64 = 0;
-        for v in self.eval_basic_all(b)? {
-            acc = acc
-                .checked_add(v)
-                .ok_or(LocalityError::Eval(foc_eval::EvalError::Overflow))?;
-        }
-        Ok(acc)
+        checked_sum(&self.eval_basic_all(b)?)
     }
 
     /// Evaluates a full cl-term. Returns a scalar for ground terms and a
     /// per-element vector when any unary basic occurs. Basic-term values
     /// are cached by identity.
     pub fn eval_clterm(&mut self, t: &ClTerm) -> Result<ClValue> {
-        let mut ground_cache: FxHashMap<usize, i64> = FxHashMap::default();
-        let mut unary_cache: FxHashMap<usize, Arc<Vec<i64>>> = FxHashMap::default();
-        self.eval_clterm_rec(t, &mut ground_cache, &mut unary_cache)
+        eval_clterm_vectors(t, &mut |b| self.eval_basic_all(b))
     }
+}
 
-    fn eval_clterm_rec(
-        &mut self,
+/// Evaluates a cl-term from the value vectors of its basic terms.
+/// `vector_of` runs once per distinct basic term (by identity); a ground
+/// basic term contributes the sum of its vector (Remark 6.3). Vectors
+/// stay shared with the caller's caches until the result is built, and
+/// intermediate sums and products are updated in place.
+pub fn eval_clterm_vectors(
+    t: &ClTerm,
+    vector_of: &mut dyn FnMut(&Arc<BasicClTerm>) -> Result<Arc<Vec<i64>>>,
+) -> Result<ClValue> {
+    fn rec(
         t: &ClTerm,
-        ground_cache: &mut FxHashMap<usize, i64>,
-        unary_cache: &mut FxHashMap<usize, Arc<Vec<i64>>>,
-    ) -> Result<ClValue> {
-        match t {
-            ClTerm::Int(i) => Ok(ClValue::Scalar(*i)),
+        vector_of: &mut dyn FnMut(&Arc<BasicClTerm>) -> Result<Arc<Vec<i64>>>,
+        memo: &mut FxHashMap<usize, Partial>,
+    ) -> Result<Partial> {
+        let (parts, unit, op): (_, _, fn(i64, i64) -> Option<i64>) = match t {
+            ClTerm::Int(i) => return Ok(Partial::Scalar(*i)),
             ClTerm::Basic(b) => {
                 let key = Arc::as_ptr(b) as usize;
-                if b.unary {
-                    if let Some(v) = unary_cache.get(&key) {
-                        return Ok(ClValue::Vector(v.as_ref().clone()));
-                    }
-                    let vals = self.eval_basic_all(b)?;
-                    unary_cache.insert(key, Arc::new(vals.clone()));
-                    Ok(ClValue::Vector(vals))
+                if let Some(v) = memo.get(&key) {
+                    return Ok(v.clone());
+                }
+                let vals = vector_of(b)?;
+                let v = if b.unary {
+                    Partial::Vector(vals)
                 } else {
-                    if let Some(&v) = ground_cache.get(&key) {
-                        return Ok(ClValue::Scalar(v));
-                    }
-                    let val = self.eval_basic_ground(b)?;
-                    ground_cache.insert(key, val);
-                    Ok(ClValue::Scalar(val))
-                }
+                    Partial::Scalar(checked_sum(&vals)?)
+                };
+                memo.insert(key, v.clone());
+                return Ok(v);
             }
-            ClTerm::Add(ts) => {
-                let mut acc = ClValue::Scalar(0);
-                for s in ts {
-                    let v = self.eval_clterm_rec(s, ground_cache, unary_cache)?;
-                    acc = combine(acc, v, |a, b| a.checked_add(b))?;
-                }
-                Ok(acc)
-            }
-            ClTerm::Mul(ts) => {
-                let mut acc = ClValue::Scalar(1);
-                for s in ts {
-                    let v = self.eval_clterm_rec(s, ground_cache, unary_cache)?;
-                    acc = combine(acc, v, |a, b| a.checked_mul(b))?;
-                }
-                Ok(acc)
+            ClTerm::Add(ts) => (ts, 0, i64::checked_add),
+            ClTerm::Mul(ts) => (ts, 1, i64::checked_mul),
+        };
+        let mut acc = Partial::Scalar(unit);
+        for s in parts {
+            let v = rec(s, vector_of, memo)?;
+            acc = combine(acc, v, op)?;
+        }
+        Ok(acc)
+    }
+    Ok(rec(t, vector_of, &mut FxHashMap::default())?.into())
+}
+
+fn checked_sum(vals: &[i64]) -> Result<i64> {
+    vals.iter().try_fold(0i64, |acc, &v| {
+        acc.checked_add(v)
+            .ok_or(LocalityError::Eval(EvalError::Overflow))
+    })
+}
+
+/// Collects the `dist(x, y) ≤ d` atoms (`x ≠ y`) that are conjuncts of
+/// `f`, looking through conjunctions and existential binders; atoms
+/// mentioning a variable bound on the way are skipped.
+fn dist_conjuncts(f: &Formula, shadowed: &mut Vec<Var>, out: &mut Vec<(Var, Var, u32)>) {
+    match f {
+        Formula::And(parts) => {
+            for p in parts {
+                dist_conjuncts(p, shadowed, out);
             }
         }
+        Formula::Exists(z, g) => {
+            shadowed.push(*z);
+            dist_conjuncts(g, shadowed, out);
+            shadowed.pop();
+        }
+        Formula::DistLe { x, y, d } if x != y && !shadowed.contains(x) && !shadowed.contains(y) => {
+            out.push((*x, *y, *d));
+        }
+        _ => {}
     }
 }
 
@@ -547,30 +684,29 @@ impl<'a> LocalEvaluator<'a> {
 /// binders) looking for positive atoms that mention `var` and at least
 /// one bound, unshadowed variable; collects the matching row values.
 fn collect_atom_candidates(
-    f: &foc_logic::Formula,
-    var: foc_logic::Var,
-    env: &FxHashMap<foc_logic::Var, u32>,
+    f: &Formula,
+    var: Var,
+    bound: &impl Fn(Var) -> Option<u32>,
     s: &Structure,
-    shadowed: &mut Vec<foc_logic::Var>,
+    shadowed: &mut Vec<Var>,
     best: &mut Option<Vec<u32>>,
 ) {
-    use foc_logic::Formula;
-    let lookup = |v: foc_logic::Var, shadowed: &[foc_logic::Var]| -> Option<u32> {
+    let lookup = |v: Var, shadowed: &[Var]| -> Option<u32> {
         if shadowed.contains(&v) {
             None
         } else {
-            env.get(&v).copied()
+            bound(v)
         }
     };
     match f {
         Formula::And(parts) => {
             for p in parts {
-                collect_atom_candidates(p, var, env, s, shadowed, best);
+                collect_atom_candidates(p, var, bound, s, shadowed, best);
             }
         }
         Formula::Exists(z, g) if *z != var => {
             shadowed.push(*z);
-            collect_atom_candidates(g, var, env, s, shadowed, best);
+            collect_atom_candidates(g, var, bound, s, shadowed, best);
             shadowed.pop();
         }
         Formula::Atom(at) if at.args.contains(&var) => {
@@ -630,30 +766,29 @@ fn collect_atom_candidates(
     }
 }
 
-fn combine(a: ClValue, b: ClValue, op: impl Fn(i64, i64) -> Option<i64>) -> Result<ClValue> {
-    let overflow = || LocalityError::Eval(foc_eval::EvalError::Overflow);
-    match (a, b) {
-        (ClValue::Scalar(x), ClValue::Scalar(y)) => {
-            Ok(ClValue::Scalar(op(x, y).ok_or_else(overflow)?))
+/// `op` applied pointwise; a vector operand is updated in place when
+/// nothing else shares it.
+fn combine(a: Partial, b: Partial, op: impl Fn(i64, i64) -> Option<i64>) -> Result<Partial> {
+    let overflow = || LocalityError::Eval(EvalError::Overflow);
+    let apply = |mut xs: Arc<Vec<i64>>, f: &dyn Fn(i64) -> Option<i64>| -> Result<Partial> {
+        for x in Arc::make_mut(&mut xs).iter_mut() {
+            *x = f(*x).ok_or_else(overflow)?;
         }
-        (ClValue::Scalar(x), ClValue::Vector(ys)) => Ok(ClValue::Vector(
-            ys.into_iter()
-                .map(|y| op(x, y).ok_or_else(overflow))
-                .collect::<Result<_>>()?,
-        )),
-        (ClValue::Vector(xs), ClValue::Scalar(y)) => Ok(ClValue::Vector(
-            xs.into_iter()
-                .map(|x| op(x, y).ok_or_else(overflow))
-                .collect::<Result<_>>()?,
-        )),
-        (ClValue::Vector(xs), ClValue::Vector(ys)) => {
+        Ok(Partial::Vector(xs))
+    };
+    match (a, b) {
+        (Partial::Scalar(x), Partial::Scalar(y)) => {
+            Ok(Partial::Scalar(op(x, y).ok_or_else(overflow)?))
+        }
+        (Partial::Scalar(x), Partial::Vector(ys)) => apply(ys, &|y| op(x, y)),
+        (Partial::Vector(xs), Partial::Scalar(y)) => apply(xs, &|x| op(x, y)),
+        (Partial::Vector(xs), Partial::Vector(ys)) => {
             assert_eq!(xs.len(), ys.len(), "mismatched unary value lengths");
-            Ok(ClValue::Vector(
-                xs.into_iter()
-                    .zip(ys)
-                    .map(|(x, y)| op(x, y).ok_or_else(overflow))
-                    .collect::<Result<_>>()?,
-            ))
+            let mut xs = xs;
+            for (x, &y) in Arc::make_mut(&mut xs).iter_mut().zip(ys.iter()) {
+                *x = op(*x, y).ok_or_else(overflow)?;
+            }
+            Ok(Partial::Vector(xs))
         }
     }
 }
@@ -801,6 +936,25 @@ mod tests {
                 assert_eq!(got.at(a), want, "triangles at {a}");
             }
         }
+    }
+
+    #[test]
+    fn dist_guard_candidates_check_only_satisfying_pairs() {
+        // #(x,y). dist(x,y) <= 1 on grid(10,10): 100 diagonal pairs plus
+        // 2 · 180 edge pairs. The guard takes the radius-1 prefix of the
+        // anchor's layers, so every checked tuple satisfies the body.
+        let (x, y) = (v("x"), v("y"));
+        let cl = decompose_ground(&dist_le(x, y, 1), &[x, y]).unwrap();
+        let s = grid(10, 10);
+        let p = Predicates::standard();
+        let mut lev = LocalEvaluator::new(&s, &p);
+        assert_eq!(lev.eval_clterm(&cl).unwrap(), ClValue::Scalar(460));
+        assert_eq!(lev.stats.tuples_checked, 460);
+        // Without guard candidates the whole δ-ball is checked.
+        let mut ablated = LocalEvaluator::new(&s, &p);
+        ablated.use_atom_candidates = false;
+        assert_eq!(ablated.eval_clterm(&cl).unwrap(), ClValue::Scalar(460));
+        assert!(ablated.stats.tuples_checked > 460);
     }
 
     #[test]

@@ -151,7 +151,7 @@ where
     E: Send,
     F: Fn(usize, &T) -> Result<R, E> + Sync,
 {
-    match par_map_isolated(items, threads, meter, f) {
+    match par_map_isolated(items, threads, meter, || (), |_, i, item| f(i, item)) {
         Ok(v) => Ok(v),
         Err(Fault::Error(e)) => Err(e),
         // Callers of this entry point did not opt into panic containment;
@@ -163,37 +163,51 @@ where
     }
 }
 
-/// [`par_map_metered`] with **panic isolation**: a panic inside `f` is
-/// caught on the worker, the remaining items are still evaluated (the
-/// other workers drain cleanly and every thread is joined), and the
-/// panic surfaces to the caller as [`Fault::Panic`] carrying the payload
-/// and the item index. When several items fault, the lowest-index fault
-/// wins regardless of thread count.
+/// [`par_map_metered`] with **panic isolation** and **per-worker
+/// state**: a panic inside `f` is caught on the worker, the remaining
+/// items are still evaluated (the other workers drain cleanly and every
+/// thread is joined), and the panic surfaces to the caller as
+/// [`Fault::Panic`] carrying the payload and the item index. When
+/// several items fault, the lowest-index fault wins regardless of thread
+/// count.
+///
+/// Each worker builds its state with `init` before its first item and
+/// hands it to `f` for every item it claims, so scratch space is set up
+/// once per worker rather than once per item. A worker whose item
+/// panicked drops its state and builds a fresh one for its next item.
 ///
 /// With `threads <= 1` (or fewer than two items) this is the sequential
-/// left-to-right loop, including early exit at the first fault.
-pub fn par_map_isolated<T, R, E, F>(
+/// left-to-right loop over one state, including early exit at the first
+/// fault.
+pub fn par_map_isolated<T, S, R, E, I, F>(
     items: &[T],
     threads: usize,
     meter: Option<&ParMeter>,
+    init: I,
     f: F,
 ) -> Result<Vec<R>, Fault<E>>
 where
     T: Sync,
     R: Send,
     E: Send,
-    F: Fn(usize, &T) -> Result<R, E> + Sync,
+    I: Fn() -> S + Sync,
+    F: Fn(&mut S, usize, &T) -> Result<R, E> + Sync,
 {
     let n = items.len();
     let threads = resolve_threads(threads).min(n.max(1));
-    let run = |i: usize, item: &T| -> Result<R, Fault<E>> {
-        match catch_unwind(AssertUnwindSafe(|| f(i, item))) {
+    let run = |state: &mut Option<S>, i: usize, item: &T| -> Result<R, Fault<E>> {
+        match catch_unwind(AssertUnwindSafe(|| {
+            f(state.get_or_insert_with(&init), i, item)
+        })) {
             Ok(Ok(v)) => Ok(v),
             Ok(Err(e)) => Err(Fault::Error(e)),
-            Err(payload) => Err(Fault::Panic(WorkerPanic {
-                payload: panic_message(payload.as_ref()),
-                item_index: i,
-            })),
+            Err(payload) => {
+                *state = None;
+                Err(Fault::Panic(WorkerPanic {
+                    payload: panic_message(payload.as_ref()),
+                    item_index: i,
+                }))
+            }
         }
     };
     if threads <= 1 || n <= 1 {
@@ -205,7 +219,12 @@ where
                 m.batches_per_worker.observe(1);
             }
         }
-        return items.iter().enumerate().map(|(i, t)| run(i, t)).collect();
+        let mut state = None;
+        return items
+            .iter()
+            .enumerate()
+            .map(|(i, t)| run(&mut state, i, t))
+            .collect();
     }
     if let Some(m) = meter {
         m.items.add(n as u64);
@@ -221,6 +240,7 @@ where
     std::thread::scope(|scope| {
         for _ in 0..threads {
             scope.spawn(|| {
+                let mut state = None;
                 let mut claimed: u64 = 0;
                 loop {
                     let start = cursor.fetch_add(batch, Ordering::Relaxed);
@@ -232,7 +252,8 @@ where
                     for (i, item) in items.iter().enumerate().take(end).skip(start) {
                         // `run` never unwinds, so the slot lock cannot be
                         // poisoned by a faulting item.
-                        *slots[i].lock().expect("result slot poisoned") = Some(run(i, item));
+                        *slots[i].lock().expect("result slot poisoned") =
+                            Some(run(&mut state, i, item));
                     }
                 }
                 if let Some(m) = meter {
@@ -399,13 +420,18 @@ mod tests {
     fn panic_is_isolated_at_every_thread_count() {
         let items: Vec<u32> = (0..64).collect();
         for threads in [1, 2, 8] {
-            let got: Result<Vec<u32>, Fault<&str>> =
-                par_map_isolated(&items, threads, None, |_, &x| {
+            let got: Result<Vec<u32>, Fault<&str>> = par_map_isolated(
+                &items,
+                threads,
+                None,
+                || (),
+                |_, _, &x| {
                     if x == 13 {
                         panic!("boom on {x}");
                     }
                     Ok(x)
-                });
+                },
+            );
             match got {
                 Err(Fault::Panic(p)) => {
                     assert_eq!(p.item_index, 13, "threads = {threads}");
@@ -420,8 +446,12 @@ mod tests {
     fn lowest_index_fault_wins_across_panics_and_errors() {
         let items: Vec<u32> = (0..100).collect();
         for threads in [1, 4, 16] {
-            let got: Result<Vec<u32>, Fault<usize>> =
-                par_map_isolated(&items, threads, None, |i, &x| {
+            let got: Result<Vec<u32>, Fault<usize>> = par_map_isolated(
+                &items,
+                threads,
+                None,
+                || (),
+                |_, i, &x| {
                     if x == 20 {
                         panic!("late panic");
                     }
@@ -429,7 +459,8 @@ mod tests {
                         return Err(i);
                     }
                     Ok(x)
-                });
+                },
+            );
             assert_eq!(got.unwrap_err(), Fault::Error(5), "threads = {threads}");
         }
     }
@@ -440,15 +471,88 @@ mod tests {
         // a panic — workers drain instead of tearing the fan-out down.
         let ran = AtomicUsize::new(0);
         let items: Vec<u32> = (0..64).collect();
-        let got: Result<Vec<u32>, Fault<&str>> = par_map_isolated(&items, 8, None, |_, &x| {
-            ran.fetch_add(1, Ordering::SeqCst);
-            if x == 0 {
-                panic!("first item");
-            }
-            Ok(x)
-        });
+        let got: Result<Vec<u32>, Fault<&str>> = par_map_isolated(
+            &items,
+            8,
+            None,
+            || (),
+            |_, _, &x| {
+                ran.fetch_add(1, Ordering::SeqCst);
+                if x == 0 {
+                    panic!("first item");
+                }
+                Ok(x)
+            },
+        );
         assert!(matches!(got, Err(Fault::Panic(p)) if p.item_index == 0));
         assert_eq!(ran.load(Ordering::SeqCst), 64);
+    }
+
+    #[test]
+    fn worker_state_is_built_once_per_worker() {
+        let items: Vec<u32> = (0..200).collect();
+        for threads in [1, 2, 8] {
+            let inits = AtomicUsize::new(0);
+            let got: Result<Vec<(u32, usize)>, Fault<()>> = par_map_isolated(
+                &items,
+                threads,
+                None,
+                || {
+                    inits.fetch_add(1, Ordering::SeqCst);
+                    0usize
+                },
+                |seen, _, &x| {
+                    *seen += 1;
+                    Ok((x * 2, *seen))
+                },
+            );
+            let got = got.unwrap();
+            let values: Vec<u32> = got.iter().map(|&(v, _)| v).collect();
+            assert_eq!(values, items.iter().map(|x| x * 2).collect::<Vec<_>>());
+            let built = inits.load(Ordering::SeqCst);
+            assert!(
+                (1..=threads).contains(&built),
+                "threads = {threads}: {built} states"
+            );
+            // Every state's item counter ends at the number of items it saw.
+            let max_seen: usize = got.iter().map(|&(_, s)| s).max().unwrap();
+            assert!(max_seen >= items.len() / threads, "threads = {threads}");
+        }
+    }
+
+    #[test]
+    fn a_panicking_item_gets_its_worker_a_fresh_state() {
+        // 256 items claim in batches of 16 (2 threads) or 4 (8 threads),
+        // starting at multiples of the batch, so the item after each
+        // panicking `x ≡ 1 (mod 4)` runs next on the same worker.
+        let items: Vec<u32> = (0..256).collect();
+        for threads in [2, 8] {
+            let reused = AtomicUsize::new(0);
+            let got: Result<Vec<u32>, Fault<()>> = par_map_isolated(
+                &items,
+                threads,
+                None,
+                || false,
+                |poisoned, _, &x| {
+                    if *poisoned {
+                        reused.fetch_add(1, Ordering::SeqCst);
+                    }
+                    if x % 4 == 1 {
+                        *poisoned = true;
+                        panic!("boom on {x}");
+                    }
+                    Ok(x)
+                },
+            );
+            match got {
+                Err(Fault::Panic(p)) => {
+                    assert_eq!(p.item_index, 1, "threads = {threads}");
+                    assert_eq!(p.payload, "boom on 1", "threads = {threads}");
+                }
+                other => panic!("expected the first panic, got {other:?}"),
+            }
+            assert_eq!(reused.load(Ordering::SeqCst), 0, "threads = {threads}");
+        }
     }
 
     #[test]

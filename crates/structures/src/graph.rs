@@ -87,66 +87,31 @@ impl Graph {
 
     /// Like [`Graph::ball`], writing into `out` (cleared first).
     pub fn ball_into(&self, centers: &[u32], r: u32, scratch: &mut BfsScratch, out: &mut Vec<u32>) {
+        scratch.search(self, centers, r, None);
         out.clear();
-        scratch.reset(self.n());
-        let mut frontier: Vec<u32> = Vec::new();
-        for &c in centers {
-            if scratch.mark(c) {
-                frontier.push(c);
-                out.push(c);
-            }
-        }
-        for _ in 0..r {
-            if frontier.is_empty() {
-                break;
-            }
-            let mut next = Vec::new();
-            for &u in &frontier {
-                for &w in self.neighbors(u) {
-                    if scratch.mark(w) {
-                        next.push(w);
-                        out.push(w);
-                    }
-                }
-            }
-            frontier = next;
-        }
+        out.extend_from_slice(scratch.reached());
         out.sort_unstable();
     }
 
     /// Bounded distance: `Some(d)` with `d = dist(a, b)` if `d ≤ cap`,
-    /// `None` otherwise. Bidirectional BFS is not needed at the radii the
-    /// algorithms use; plain BFS with a depth cap is linear in the ball.
+    /// `None` otherwise. The search stops at the level that reaches `b`.
     pub fn dist_bounded(&self, a: u32, b: u32, cap: u32, scratch: &mut BfsScratch) -> Option<u32> {
         if a == b {
             return Some(0);
         }
-        scratch.reset(self.n());
-        scratch.mark(a);
-        let mut frontier = vec![a];
-        for d in 1..=cap {
-            let mut next = Vec::new();
-            for &u in &frontier {
-                for &w in self.neighbors(u) {
-                    if w == b {
-                        return Some(d);
-                    }
-                    if scratch.mark(w) {
-                        next.push(w);
-                    }
-                }
-            }
-            if next.is_empty() {
-                return None;
-            }
-            frontier = next;
-        }
-        None
+        scratch.search(self, &[a], cap, Some(b))
     }
 
     /// `dist(a, b) ≤ d`?
     pub fn dist_le(&self, a: u32, b: u32, d: u32, scratch: &mut BfsScratch) -> bool {
         self.dist_bounded(a, b, d, scratch).is_some()
+    }
+
+    /// Level-ordered BFS from `src` up to distance `cap`, kept in
+    /// `scratch`: afterwards [`BfsScratch::dist`] is one array lookup and
+    /// [`BfsScratch::within`] the radius-`d` ball for any `d ≤ cap`.
+    pub fn bfs(&self, src: u32, cap: u32, scratch: &mut BfsScratch) {
+        scratch.search(self, &[src], cap, None);
     }
 
     /// BFS distances from `src` up to `cap`, as a map (vertices beyond
@@ -157,27 +122,17 @@ impl Graph {
         cap: u32,
         scratch: &mut BfsScratch,
     ) -> FxHashMap<u32, u32> {
-        let mut dist: FxHashMap<u32, u32> = FxHashMap::default();
-        scratch.reset(self.n());
-        scratch.mark(src);
-        dist.insert(src, 0);
-        let mut frontier = vec![src];
-        for d in 1..=cap {
-            let mut next = Vec::new();
-            for &u in &frontier {
-                for &w in self.neighbors(u) {
-                    if scratch.mark(w) {
-                        dist.insert(w, d);
-                        next.push(w);
-                    }
-                }
-            }
-            if next.is_empty() {
-                break;
-            }
-            frontier = next;
-        }
-        dist
+        self.bfs(src, cap, scratch);
+        scratch
+            .reached()
+            .iter()
+            .map(|&v| {
+                (
+                    v,
+                    scratch.dist(v).unwrap_or_else(|| unreachable!("reached")),
+                )
+            })
+            .collect()
     }
 
     /// Connected components; returns `(component_id per vertex, count)`.
@@ -262,11 +217,32 @@ impl Graph {
     }
 }
 
-/// Reusable BFS scratch space (stamped visited marks).
+/// Reusable BFS state: stamped marks that double as distances, and the
+/// reached vertices in level order.
+///
+/// A search writes `base + dist(v)` into `marks[v]` for every vertex it
+/// reaches; marks below `base` are left over from earlier searches. A new
+/// search takes a `base` above every mark written so far, so nothing is
+/// cleared between searches: the marks are zero-filled only when the
+/// stamp would wrap. After a search from `src` capped at `cap`,
+/// `dist(v)` is one lookup, and for any `d ≤ cap` the radius-`d` ball is
+/// a prefix of the reached list.
 #[derive(Debug, Default, Clone)]
 pub struct BfsScratch {
-    stamp: u32,
     marks: Vec<u32>,
+    /// Stamp of the last search (distance 0).
+    base: u32,
+    /// Highest mark any search has written since the last zero-fill.
+    top: u32,
+    /// Reached vertices, in nondecreasing distance.
+    order: Vec<u32>,
+    /// `ends[d]`: number of reached vertices at distance `≤ d`.
+    ends: Vec<u32>,
+    /// Source of the last search, if it had exactly one.
+    src: Option<u32>,
+    /// Distances up to `cap` are complete (`u32::MAX` once the search
+    /// exhausted its component).
+    cap: u32,
 }
 
 impl BfsScratch {
@@ -275,26 +251,116 @@ impl BfsScratch {
         BfsScratch::default()
     }
 
-    fn reset(&mut self, n: u32) {
-        if self.marks.len() < n as usize {
-            self.marks.resize(n as usize, 0);
-        }
-        self.stamp = self.stamp.wrapping_add(1);
-        if self.stamp == 0 {
-            self.marks.iter_mut().for_each(|m| *m = 0);
-            self.stamp = 1;
-        }
+    /// The single source of the last search (`None` before any search
+    /// and after a multi-source one).
+    #[inline]
+    pub fn source(&self) -> Option<u32> {
+        self.src
     }
 
-    /// Marks `v`; returns `true` iff it was unmarked.
-    fn mark(&mut self, v: u32) -> bool {
-        let slot = &mut self.marks[v as usize];
-        if *slot == self.stamp {
-            false
-        } else {
-            *slot = self.stamp;
-            true
+    /// The radius up to which the last search's distances are complete
+    /// (`u32::MAX` when it exhausted the component).
+    #[inline]
+    pub fn cap(&self) -> u32 {
+        self.cap
+    }
+
+    /// Distance from the last search's sources to `v`, if at most
+    /// [`BfsScratch::cap`].
+    #[inline]
+    pub fn dist(&self, v: u32) -> Option<u32> {
+        let m = *self.marks.get(v as usize)?;
+        let d = m.checked_sub(self.base)?;
+        (d <= self.cap).then_some(d)
+    }
+
+    /// Every vertex within [`BfsScratch::cap`] of the sources, in
+    /// nondecreasing distance.
+    #[inline]
+    pub fn reached(&self) -> &[u32] {
+        self.within(self.cap)
+    }
+
+    /// The vertices within distance `d` of the sources, in nondecreasing
+    /// distance. `d` must not exceed [`BfsScratch::cap`].
+    #[inline]
+    pub fn within(&self, d: u32) -> &[u32] {
+        assert!(
+            d <= self.cap,
+            "radius {d} beyond the search cap {}",
+            self.cap
+        );
+        let end = self
+            .ends
+            .get(d as usize)
+            .or(self.ends.last())
+            .map_or(0, |&e| e as usize);
+        &self.order[..end]
+    }
+
+    /// Level-ordered BFS from `sources` up to distance `cap`. With a
+    /// `target`, stops at the level that reaches it and returns its
+    /// distance; the completed levels stay valid.
+    fn search(&mut self, g: &Graph, sources: &[u32], cap: u32, target: Option<u32>) -> Option<u32> {
+        let n = g.n() as usize;
+        if self.marks.len() < n {
+            self.marks.resize(n, 0);
         }
+        // This search writes marks up to `top + 1 + levels`, where the
+        // number of non-empty levels is below `n`.
+        let levels = cap.min(g.n());
+        if u32::MAX - self.top <= levels {
+            self.marks.iter_mut().for_each(|m| *m = 0);
+            self.top = 0;
+        }
+        let base = self.top + 1;
+        self.base = base;
+        self.src = match sources {
+            [s] => Some(*s),
+            _ => None,
+        };
+        self.order.clear();
+        self.ends.clear();
+        for &s in sources {
+            if self.marks[s as usize] < base {
+                self.marks[s as usize] = base;
+                self.order.push(s);
+            }
+        }
+        let mut level_start = 0;
+        let mut d = 0u32;
+        loop {
+            let level_end = self.order.len();
+            self.ends.push(level_end as u32);
+            if level_start == level_end {
+                self.cap = u32::MAX;
+                break;
+            }
+            if d == cap {
+                self.cap = cap;
+                break;
+            }
+            d += 1;
+            for i in level_start..level_end {
+                let u = self.order[i];
+                for &w in g.neighbors(u) {
+                    let slot = &mut self.marks[w as usize];
+                    if *slot < base {
+                        *slot = base + d;
+                        self.order.push(w);
+                        if target == Some(w) {
+                            self.cap = d - 1;
+                            self.top = base + d;
+                            return Some(d);
+                        }
+                    }
+                }
+            }
+            level_start = level_end;
+        }
+        self.top = base + d;
+        // A target within `cap` returned from inside the loop.
+        None
     }
 }
 
@@ -377,6 +443,132 @@ mod tests {
         // degree 0). At least 4 of the 5 leaves precede the hub.
         let before_hub = (1..6).filter(|&l| pos[l] < pos[0]).count();
         assert!(before_hub >= 4, "positions: {pos:?}");
+    }
+
+    /// All-pairs distances by Floyd–Warshall (`None` = unreachable).
+    fn brute_distances(g: &Graph) -> Vec<Vec<Option<u32>>> {
+        let n = g.n() as usize;
+        let mut d = vec![vec![None; n]; n];
+        for (u, row) in d.iter_mut().enumerate() {
+            row[u] = Some(0);
+            for &w in g.neighbors(u as u32) {
+                row[w as usize] = Some(1);
+            }
+        }
+        for k in 0..n {
+            for i in 0..n {
+                for j in 0..n {
+                    if let (Some(a), Some(b)) = (d[i][k], d[k][j]) {
+                        if d[i][j].is_none_or(|c| a + b < c) {
+                            d[i][j] = Some(a + b);
+                        }
+                    }
+                }
+            }
+        }
+        d
+    }
+
+    fn layered_test_graphs() -> Vec<Graph> {
+        let grid: Vec<(u32, u32)> = (0..16u32)
+            .flat_map(|v| {
+                let right = (v % 4 < 3).then_some((v, v + 1));
+                let down = (v < 12).then_some((v, v + 4));
+                right.into_iter().chain(down)
+            })
+            .collect();
+        vec![
+            path_graph(9),
+            Graph::from_edges(7, &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 0)]),
+            Graph::from_edges(16, &grid),
+            Graph::from_edges(8, &[(0, 1), (1, 2), (2, 0), (4, 5), (5, 6)]),
+        ]
+    }
+
+    /// Checks the scratch's last search from `src` capped at `cap`
+    /// against brute-force distances.
+    fn assert_layers(s: &BfsScratch, brute: &[Vec<Option<u32>>], src: u32, cap: u32) {
+        assert_eq!(s.source(), Some(src));
+        assert!(s.cap() >= cap);
+        for (v, want) in brute[src as usize].iter().enumerate() {
+            let want = want.filter(|&d| d <= cap);
+            let got = s.dist(v as u32).filter(|&d| d <= cap);
+            assert_eq!(got, want, "dist({src},{v}) at cap {cap}");
+        }
+        for d in 0..=cap {
+            let mut got = s.within(d).to_vec();
+            got.sort_unstable();
+            let want: Vec<u32> = (0..brute.len() as u32)
+                .filter(|&v| brute[src as usize][v as usize].is_some_and(|x| x <= d))
+                .collect();
+            assert_eq!(got, want, "ball({src},{d})");
+        }
+    }
+
+    #[test]
+    fn layered_bfs_matches_brute_force() {
+        for g in layered_test_graphs() {
+            let brute = brute_distances(&g);
+            let mut s = BfsScratch::new();
+            let mut probe = BfsScratch::new();
+            for src in 0..g.n() {
+                for cap in 0..=4 {
+                    g.bfs(src, cap, &mut s);
+                    assert_layers(&s, &brute, src, cap);
+                    // Cap 0 is the source alone; a == b is distance 0.
+                    assert_eq!(s.within(0), &[src]);
+                    assert_eq!(s.dist(src), Some(0));
+                    for b in 0..g.n() {
+                        let want = brute[src as usize][b as usize].filter(|&d| d <= cap);
+                        assert_eq!(g.dist_bounded(src, b, cap, &mut probe), want);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn early_exit_keeps_the_completed_levels() {
+        let g = path_graph(10);
+        let mut s = BfsScratch::new();
+        assert_eq!(g.dist_bounded(0, 5, 9, &mut s), Some(5));
+        assert_eq!(s.cap(), 4);
+        assert_eq!(s.dist(4), Some(4));
+        assert_eq!(s.dist(5), None);
+        assert_eq!(s.reached().len(), 5);
+        assert_eq!(g.dist_bounded(0, 9, 3, &mut s), None);
+        assert_eq!(g.dist_bounded(3, 3, 0, &mut s), Some(0));
+    }
+
+    #[test]
+    fn exhausted_component_answers_every_radius() {
+        let g = Graph::from_edges(6, &[(0, 1), (1, 2), (4, 5)]);
+        let mut s = BfsScratch::new();
+        g.bfs(0, 100, &mut s);
+        assert_eq!(s.cap(), u32::MAX);
+        assert_eq!(s.within(1000), &[0, 1, 2]);
+        assert_eq!(s.dist(4), None);
+    }
+
+    #[test]
+    fn stamp_wrap_around_zero_fills_the_marks() {
+        for g in layered_test_graphs() {
+            let brute = brute_distances(&g);
+            let mut s = BfsScratch::new();
+            g.bfs(0, 2, &mut s);
+            // Start just below the wrap so the next searches cross it.
+            s.top = u32::MAX - 6;
+            let mut wrapped = false;
+            for round in 0..6u32 {
+                for src in 0..g.n() {
+                    let cap = (src + round) % 4;
+                    g.bfs(src, cap, &mut s);
+                    wrapped |= s.base == 1;
+                    assert_layers(&s, &brute, src, cap);
+                }
+            }
+            assert!(wrapped, "the stamp must have wrapped");
+        }
     }
 
     #[test]
