@@ -138,10 +138,11 @@ fn ablation_candidates() -> Table {
     }
     t.note(
         "Both optimisations are semantics-preserving (asserted during the \
-         run). Atom candidates replace δ-ball scans by relational index \
-         lookups (the same toggle governs the dist-conjunct candidates of \
-         E11d); the support filter skips elements that cannot head a \
-         satisfying tuple.",
+         run). With atom candidates on, the guard planner sizes every guard \
+         of a position from the relation indexes and replaces the δ-ball \
+         scan by the smallest index lookup (the same toggle governs the \
+         dist-conjunct candidates of E11d); the support filter, picked by the \
+         same planner, skips elements that cannot head a satisfying tuple.",
     );
     t
 }

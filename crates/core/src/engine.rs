@@ -32,7 +32,7 @@ use foc_locality::decompose::{
     decompose_ground_with_radius_guarded, decompose_unary_with_radius_guarded,
 };
 use foc_locality::gnf::{first_sentence_atom, replace_equal};
-use foc_locality::local_eval::LocalEvaluator;
+use foc_locality::local_eval::{record_eval_stats, LocalEvaluator};
 use foc_locality::radius::locality_radius;
 use foc_locality::ClValue;
 use foc_locality::TermCache;
@@ -754,6 +754,17 @@ impl<'a> Session<'a> {
         r
     }
 
+    /// Runs `f` on a reference evaluator over the working structure,
+    /// armed with the session guard, and adds its work counters to the
+    /// session registry.
+    fn with_naive<T>(&self, f: impl FnOnce(&mut NaiveEvaluator<'_>) -> T) -> T {
+        let mut ev = NaiveEvaluator::new(&self.a, &self.ev.preds);
+        ev.set_guard(self.guard.clone());
+        let out = f(&mut ev);
+        record_eval_stats(&ev.stats, self.obs.metrics());
+        out
+    }
+
     /// Whether capability errors surface instead of degrading.
     fn strict(&self) -> bool {
         self.ev.config.degrade == DegradePolicy::Strict
@@ -768,9 +779,7 @@ impl<'a> Session<'a> {
 
     fn check_sentence_inner(&mut self, f: &Arc<Formula>) -> Result<bool> {
         if self.ev.config.kind == EngineKind::Naive {
-            let mut ev = NaiveEvaluator::new(&self.a, &self.ev.preds);
-            ev.set_guard(self.guard.clone());
-            return Ok(ev.check_sentence(f)?);
+            return Ok(self.with_naive(|ev| ev.check_sentence(f))?);
         }
         check_foc1(f).map_err(|v| Error::NotFoc1(v.to_string()))?;
         foc_eval::validate::validate_formula(f, self.a.signature(), &self.ev.preds)?;
@@ -793,9 +802,7 @@ impl<'a> Session<'a> {
 
     fn eval_ground_inner(&mut self, t: &Arc<Term>) -> Result<i64> {
         if self.ev.config.kind == EngineKind::Naive {
-            let mut ev = NaiveEvaluator::new(&self.a, &self.ev.preds);
-            ev.set_guard(self.guard.clone());
-            return Ok(ev.eval_ground(t)?);
+            return Ok(self.with_naive(|ev| ev.eval_ground(t))?);
         }
         check_foc1_term(t).map_err(|v| Error::NotFoc1(v.to_string()))?;
         foc_eval::validate::validate_term(t, self.a.signature(), &self.ev.preds)?;
@@ -848,22 +855,22 @@ impl<'a> Session<'a> {
         }
         // Body truth per element (the body is FO over the expanded
         // structure now; candidate-driven evaluation keeps this cheap).
-        let mut ev = NaiveEvaluator::new(&self.a, &self.ev.preds);
-        ev.set_guard(self.guard.clone());
-        let mut rows = Vec::new();
-        for e in self.a.universe() {
-            let mut env = Assignment::from_pairs([(x, e)]);
-            if ev.check(&body_fo, &mut env)? {
-                rows.push(QueryRow {
-                    elems: vec![e],
-                    counts: term_values
-                        .iter()
-                        .map(|v| v.at(e))
-                        .collect::<Result<Vec<_>>>()?,
-                });
+        self.with_naive(|ev| {
+            let mut rows = Vec::new();
+            for e in self.a.universe() {
+                let mut env = Assignment::from_pairs([(x, e)]);
+                if ev.check(&body_fo, &mut env)? {
+                    rows.push(QueryRow {
+                        elems: vec![e],
+                        counts: term_values
+                            .iter()
+                            .map(|v| v.at(e))
+                            .collect::<Result<Vec<_>>>()?,
+                    });
+                }
             }
-        }
-        Ok(QueryResult { rows })
+            Ok(QueryResult { rows })
+        })
     }
 
     /// Theorem 6.10, evaluation-driven: replaces every predicate
@@ -1016,9 +1023,7 @@ impl<'a> Session<'a> {
                     values.insert(sent.marker, truth);
                 }
                 let resolved = clnf.resolve(&values);
-                let mut ev = NaiveEvaluator::new(&self.a, &self.ev.preds);
-                ev.set_guard(self.guard.clone());
-                Ok(ev.check_sentence(&resolved)?)
+                Ok(self.with_naive(|ev| ev.check_sentence(&resolved))?)
             }
             Err(e) => {
                 let err: Error = e.into();
@@ -1028,9 +1033,7 @@ impl<'a> Session<'a> {
                 self.metrics.fallbacks.inc();
                 self.metrics.degrade_naive.inc();
                 self.root.record_text("degrade", format!("naive: {err}"));
-                let mut ev = NaiveEvaluator::new(&self.a, &self.ev.preds);
-                ev.set_guard(self.guard.clone());
-                Ok(ev.check_sentence(f)?)
+                Ok(self.with_naive(|ev| ev.check_sentence(f))?)
             }
         }
     }
@@ -1143,9 +1146,7 @@ impl<'a> Session<'a> {
             counted.to_vec().into_boxed_slice(),
             body.clone(),
         ));
-        let mut ev = NaiveEvaluator::new(&self.a, &self.ev.preds);
-        ev.set_guard(self.guard.clone());
-        match x {
+        self.with_naive(|ev| match x {
             None => {
                 let mut env = Assignment::new();
                 Ok(Value::Scalar(ev.eval_term(&term, &mut env)?))
@@ -1158,7 +1159,7 @@ impl<'a> Session<'a> {
                 }
                 Ok(Value::Vector(out))
             }
-        }
+        })
     }
 
     /// Replaces every maximal closed quantified subformula by its truth

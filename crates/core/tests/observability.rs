@@ -98,3 +98,24 @@ fn disabled_observer_still_feeds_stats() {
     assert!(stats.clusters > 0);
     assert!(stats.covers_built > 0);
 }
+
+#[test]
+fn naive_engine_reports_its_work() {
+    let ev = Evaluator::builder()
+        .kind(EngineKind::Naive)
+        .build()
+        .unwrap();
+    let g = grid(4, 4);
+    let term = parse_term("#(x,y). (E(x,y) & dist(x,y) <= 1)").unwrap();
+    let mut session = ev.session(&g);
+    assert_eq!(session.eval_ground(&term).unwrap(), 48);
+    let snap = session.observer().metrics().snapshot();
+    for name in [
+        names::EVAL_ASSIGNMENTS,
+        names::EVAL_ATOM_TESTS,
+        names::EVAL_DIST_BFS,
+        names::EVAL_GUARD_ROWS,
+    ] {
+        assert!(snap.counter(name) > 0, "{name} stays 0 on the naive engine");
+    }
+}

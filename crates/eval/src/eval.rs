@@ -5,20 +5,23 @@
 //! rewriting step (Gaifman normal form, cl-decomposition, removal lemma,
 //! cover localisation) is property-tested against it. It is deliberately
 //! close to the paper's semantic clauses; its only optimisation is
-//! *candidate-driven quantification*: when a quantified or counted
-//! variable is guarded by a positive atom, equality, or distance
-//! conjunct, the evaluator enumerates candidate values from the relation
-//! rows (or the distance ball) instead of the whole universe. This does
-//! not change the semantics — values outside the candidate set falsify
-//! the guard — but turns `∃x̄ R(x̄,…)` patterns from `n^k` scans into
-//! index lookups, which is what makes the SQL workloads of Example 5.3
-//! runnable at realistic sizes.
+//! *candidate-driven quantification*: a quantified or counted variable
+//! ranges over the candidates of the cheapest guard of its body — an
+//! equality, a positive atom or a positive `dist` conjunct — instead of
+//! the whole universe. The [guard planner](crate::guards) sizes every
+//! guard from the relation indexes before it builds one, so a guard the
+//! index answers in a few rows is never paid for with a full scan of
+//! another relation. This does not change the semantics — values outside
+//! a guard's candidates falsify the guard — but turns `∃x̄ R(x̄,…)`
+//! patterns from `n^k` scans into index lookups, which is what makes the
+//! SQL workloads of Example 5.3 runnable at realistic sizes.
 
 use foc_guard::{Guard, Phase};
 use foc_logic::{Formula, Predicates, Term, Var};
 use foc_structures::{BfsScratch, FxHashMap, Signature, Structure};
 
 use crate::error::{EvalError, Result};
+use crate::guards::{GuardContext, GuardPlanner};
 use crate::validate::{validate_formula, validate_term};
 
 /// A partial assignment `β : vars → A` (only finitely many bindings are
@@ -99,6 +102,20 @@ pub struct EvalStats {
     pub dist_bfs: u64,
     /// Numerical predicate oracle calls.
     pub oracle_calls: u64,
+    /// Relation rows visited while building guard candidates.
+    pub guard_rows: u64,
+}
+
+impl EvalStats {
+    /// Adds every counter of `other` to `self`.
+    pub fn merge(&mut self, other: &EvalStats) {
+        self.assignments_tried += other.assignments_tried;
+        self.atom_tests += other.atom_tests;
+        self.dist_queries += other.dist_queries;
+        self.dist_bfs += other.dist_bfs;
+        self.oracle_calls += other.oracle_calls;
+        self.guard_rows += other.guard_rows;
+    }
 }
 
 /// A formula that passed static validation against one structure's
@@ -119,6 +136,9 @@ pub struct NaiveEvaluator<'a> {
     /// Layers of the last BFS over the Gaifman graph; `dist` atoms with
     /// that source as either endpoint are answered from them.
     scratch: BfsScratch,
+    /// Buffers of the guard planner behind candidate-driven
+    /// quantification.
+    planner: GuardPlanner<'a>,
     /// Values of *closed* counting terms (no free variables): they do not
     /// depend on the assignment, so they are computed once per structure.
     ground_cache: FxHashMap<Term, i64>,
@@ -136,6 +156,7 @@ impl<'a> NaiveEvaluator<'a> {
             structure,
             preds,
             scratch: BfsScratch::new(),
+            planner: GuardPlanner::new(structure),
             ground_cache: FxHashMap::default(),
             guard: Guard::unlimited(),
             stats: EvalStats::default(),
@@ -260,12 +281,12 @@ impl<'a> NaiveEvaluator<'a> {
                 if a == b {
                     return Ok(true);
                 }
-                let (from, to) = if self.memo_covers(b, *d) {
+                let (from, to) = if memo_covers(&self.scratch, b, *d) {
                     (b, a)
                 } else {
                     (a, b)
                 };
-                self.layers_from(from, *d);
+                bfs_layers(self.structure, &mut self.scratch, &mut self.stats, from, *d);
                 Ok(self.scratch.dist(to).is_some_and(|x| x <= *d))
             }
             Formula::Not(g) => Ok(!self.formula(g, env)?),
@@ -458,10 +479,11 @@ impl<'a> NaiveEvaluator<'a> {
         result
     }
 
-    /// Candidate values for `var` implied by a positive guard conjunct of
-    /// `body`. Looks through nested existential quantifiers and top-level
-    /// conjunctions; returns [`Candidates::Universe`] when no guard is
-    /// found.
+    /// Candidate values for `var` from the cheapest guard of `body` (see
+    /// [`crate::guards`]), sorted; [`Candidates::Universe`] when there is
+    /// none. Variables in `pre_shadowed` are *about to be rebound* (the
+    /// remaining counted variables of an enclosing `#`), so their stale
+    /// outer bindings must not select candidates.
     fn candidates(
         &mut self,
         var: Var,
@@ -469,144 +491,66 @@ impl<'a> NaiveEvaluator<'a> {
         env: &Assignment,
         pre_shadowed: &[Var],
     ) -> Candidates {
-        let mut best: Option<Vec<u32>> = None;
-        // Variables that are *about to be rebound* (the remaining counted
-        // variables of an enclosing # construct) must not contribute their
-        // stale outer-scope bindings to the guard scan.
-        let mut shadowed: Vec<Var> = pre_shadowed.to_vec();
-        self.collect_guard_candidates(var, body, env, &mut shadowed, &mut best);
-        match best {
-            Some(mut vals) => {
-                vals.sort_unstable();
-                vals.dedup();
-                Candidates::List(vals)
-            }
-            None => Candidates::Universe,
-        }
-    }
-
-    fn collect_guard_candidates(
-        &mut self,
-        var: Var,
-        f: &Formula,
-        env: &Assignment,
-        shadowed: &mut Vec<Var>,
-        best: &mut Option<Vec<u32>>,
-    ) {
-        // A binding is usable only if the variable is not shadowed by an
-        // inner quantifier between here and the guard.
-        let lookup = |v: Var, shadowed: &[Var]| -> Option<u32> {
-            if shadowed.contains(&v) {
-                None
-            } else {
-                env.get(v)
-            }
+        let mut ctx = NaiveGuards {
+            env,
+            structure: self.structure,
+            scratch: &mut self.scratch,
+            stats: &mut self.stats,
         };
-        match f {
-            Formula::And(parts) => {
-                for p in parts {
-                    self.collect_guard_candidates(var, p, env, shadowed, best);
-                }
-            }
-            Formula::Exists(y, g) if *y != var => {
-                // Inner quantifiers only hide the guard; their bound
-                // variables become wildcards in the candidate match below.
-                shadowed.push(*y);
-                self.collect_guard_candidates(var, g, env, shadowed, best);
-                shadowed.pop();
-            }
-            Formula::Eq(a, b) => {
-                let other = if *a == var && *b != var {
-                    Some(*b)
-                } else if *b == var && *a != var {
-                    Some(*a)
-                } else {
-                    None
-                };
-                if let Some(o) = other {
-                    if let Some(val) = lookup(o, shadowed) {
-                        keep_smaller(best, vec![val]);
-                    }
-                }
-            }
-            Formula::DistLe { x, y, d } => {
-                let anchor = if *x == var && *y != var {
-                    lookup(*y, shadowed)
-                } else if *y == var && *x != var {
-                    lookup(*x, shadowed)
-                } else {
-                    None
-                };
-                if let Some(a) = anchor {
-                    self.layers_from(a, *d);
-                    keep_smaller(best, self.scratch.within(*d).to_vec());
-                }
-            }
-            Formula::Atom(at) if at.args.contains(&var) => {
-                let Some(rel) = self.structure.relation(at.rel) else {
-                    return;
-                };
-                let mut vals = Vec::new();
-                // Restrict the scan through an index on any bound,
-                // unshadowed companion position.
-                let bound_pos = at.args.iter().enumerate().find_map(|(pos, v)| {
-                    if *v != var {
-                        lookup(*v, shadowed).map(|val| (pos, val))
-                    } else {
-                        None
-                    }
-                });
-                let mut scan = |row: &[u32]| {
-                    let mut candidate: Option<u32> = None;
-                    for (pos, v) in at.args.iter().enumerate() {
-                        if *v == var {
-                            match candidate {
-                                None => candidate = Some(row[pos]),
-                                Some(c) if c == row[pos] => {}
-                                Some(_) => return,
-                            }
-                        } else if let Some(bound) = lookup(*v, shadowed) {
-                            if bound != row[pos] {
-                                return;
-                            }
-                        }
-                    }
-                    if let Some(c) = candidate {
-                        vals.push(c);
-                    }
-                };
-                match bound_pos {
-                    Some((0, val)) => rel.rows_with_first(val).for_each(&mut scan),
-                    Some((pos, val)) => rel.rows_with_value_at(pos, val).for_each(&mut scan),
-                    None => rel.rows().for_each(scan),
-                }
-                keep_smaller(best, vals);
-            }
-            _ => {}
+        let mut vals = Vec::new();
+        if self
+            .planner
+            .candidates(var, body, pre_shadowed, usize::MAX, &mut ctx, &mut vals)
+        {
+            // Balls come in BFS order.
+            vals.sort_unstable();
+            Candidates::List(vals)
+        } else {
+            Candidates::Universe
         }
     }
 }
 
-impl NaiveEvaluator<'_> {
-    /// Whether the last BFS from `src` reached at least radius `d`.
-    fn memo_covers(&self, src: u32, d: u32) -> bool {
-        self.scratch.source() == Some(src) && d <= self.scratch.cap()
-    }
+/// Whether the last BFS in `scratch` ran from `src` and reached at least
+/// radius `d`.
+fn memo_covers(scratch: &BfsScratch, src: u32, d: u32) -> bool {
+    scratch.source() == Some(src) && d <= scratch.cap()
+}
 
-    /// Leaves BFS layers from `src` covering radius `d` in the scratch,
-    /// reusing the last run when it does.
-    fn layers_from(&mut self, src: u32, d: u32) {
-        if !self.memo_covers(src, d) {
-            self.stats.dist_bfs += 1;
-            self.structure.gaifman().bfs(src, d, &mut self.scratch);
-        }
+/// Leaves BFS layers from `src` covering radius `d` in `scratch`, reusing
+/// the last run when it does.
+fn bfs_layers(s: &Structure, scratch: &mut BfsScratch, stats: &mut EvalStats, src: u32, d: u32) {
+    if !memo_covers(scratch, src, d) {
+        stats.dist_bfs += 1;
+        s.gaifman().bfs(src, d, scratch);
     }
 }
 
-fn keep_smaller(best: &mut Option<Vec<u32>>, vals: Vec<u32>) {
-    match best {
-        Some(b) if b.len() <= vals.len() => {}
-        _ => *best = Some(vals),
+/// The reference evaluator's side of guard planning: bindings from the
+/// assignment, balls from the BFS memo. A ball not in the memo is
+/// searched in full whatever `max` is: the body's own `dist` atom is then
+/// answered from the same layers for every candidate, whichever guard
+/// wins.
+struct NaiveGuards<'e, 'a> {
+    env: &'e Assignment,
+    structure: &'a Structure,
+    scratch: &'e mut BfsScratch,
+    stats: &'e mut EvalStats,
+}
+
+impl GuardContext for NaiveGuards<'_, '_> {
+    fn value(&self, v: Var) -> Option<u32> {
+        self.env.get(v)
+    }
+
+    fn ball(&mut self, anchor: u32, d: u32, max: usize) -> Option<&[u32]> {
+        bfs_layers(self.structure, self.scratch, self.stats, anchor, d);
+        let ball = self.scratch.within(d);
+        (ball.len() <= max).then_some(ball)
+    }
+
+    fn stats(&mut self) -> &mut EvalStats {
+        self.stats
     }
 }
 

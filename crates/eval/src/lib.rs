@@ -23,10 +23,12 @@
 pub mod error;
 pub mod eval;
 pub mod freevars;
+pub mod guards;
 pub mod query;
 pub mod validate;
 
 pub use error::{EvalError, Result};
 pub use eval::{Assignment, EvalStats, NaiveEvaluator, Validated};
 pub use freevars::FreeVarElim;
+pub use guards::{GuardContext, GuardPlanner};
 pub use query::{eval_query, QueryResult, QueryRow};

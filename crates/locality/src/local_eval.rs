@@ -9,10 +9,11 @@
 //! reusable per-depth buffer ([`BfsScratch`]). Its δ-constraints are then
 //! array lookups, and the candidates for a later position are a prefix
 //! of an earlier position's reached list: the δ-ball of an assigned
-//! `G`-neighbour or, when a positive top-level conjunct
-//! `dist(y_i, y_j) ≤ d` ties the position to an earlier one, the smaller
-//! radius-`d` ball around `y_j`. A relational-index lookup through a
-//! positive guard atom replaces both when it is smaller. Complete tuples
+//! `G`-neighbour. The guard planner of `foc-eval` replaces it with a
+//! cheaper source when the body has one: the radius-`d` prefix of an
+//! assigned position's layers for a positive conjunct `dist(y_i, y_j) ≤
+//! d`, or a relational-index lookup through a positive guard atom; the
+//! same planner picks the support of `y₁`. Complete tuples
 //! are checked by one reference evaluator that lives as long as this
 //! one: it gets the body validated once per term and answers `dist`
 //! atoms from the layers of its last BFS.
@@ -24,10 +25,12 @@
 
 use std::sync::Arc;
 
-use foc_eval::{Assignment, EvalError, NaiveEvaluator, Validated};
+use foc_eval::{
+    Assignment, EvalError, EvalStats, GuardContext, GuardPlanner, NaiveEvaluator, Validated,
+};
 use foc_guard::{Guard, Phase};
-use foc_logic::{Formula, Predicates, Var};
-use foc_obs::{names, pow2_buckets, Counter, Histogram, SpanHandle};
+use foc_logic::{Predicates, Var};
+use foc_obs::{names, pow2_buckets, Counter, Histogram, Metrics, SpanHandle};
 use foc_parallel::ParMeter;
 use foc_structures::{BfsScratch, FxHashMap, Structure};
 
@@ -110,10 +113,6 @@ struct Plan<'t> {
     order: Vec<usize>,
     /// The δ bound `2r+1`.
     bound: u32,
-    /// `guards[i]`: `(j, d)` for each positive top-level conjunct
-    /// `dist ≤ d` between the positions of depth `i` and of an earlier
-    /// depth `j`.
-    guards: Vec<Vec<(usize, u32)>>,
 }
 
 /// One assigned position of the tuple under construction.
@@ -142,6 +141,8 @@ pub struct LocalEvaluator<'a> {
     /// Checks complete tuples against the body; kept for the evaluator's
     /// lifetime, so its `dist` memo carries over from tuple to tuple.
     ev: NaiveEvaluator<'a>,
+    /// Picks the candidates of each depth and the support of `y₁`.
+    planner: GuardPlanner<'a>,
     /// The tuple under construction, bound and restored position by
     /// position.
     env: Assignment,
@@ -184,6 +185,7 @@ impl<'a> LocalEvaluator<'a> {
             a,
             preds,
             ev: NaiveEvaluator::new(a, preds),
+            planner: GuardPlanner::new(a),
             env: Assignment::new(),
             path: Vec::new(),
             depths: Vec::new(),
@@ -267,17 +269,6 @@ impl<'a> LocalEvaluator<'a> {
     {
         let order = b.graph.bfs_order();
         debug_assert_eq!(order[0], 0);
-        let mut conjuncts = Vec::new();
-        dist_conjuncts(&b.body, &mut Vec::new(), &mut conjuncts);
-        let depth_of = |v: Var| order.iter().position(|&node| b.vars[node] == v);
-        let mut guards = vec![Vec::new(); order.len()];
-        for (x, y, d) in conjuncts {
-            if let (Some(i), Some(j)) = (depth_of(x), depth_of(y)) {
-                if i != j {
-                    guards[i.max(j)].push((i.min(j), d));
-                }
-            }
-        }
         Plan {
             b,
             body: self.ev.validate(&b.body),
@@ -285,7 +276,6 @@ impl<'a> LocalEvaluator<'a> {
             bound: u32::try_from(b.delta_bound())
                 .unwrap_or_else(|_| unreachable!("delta bound fits u32")),
             order,
-            guards,
         }
     }
 
@@ -394,106 +384,52 @@ impl<'a> LocalEvaluator<'a> {
         result
     }
 
-    /// Fills `out` with the smallest of the candidate sets for depth
-    /// `idx`: the δ-ball of an assigned `G`-neighbour (BFS order
-    /// guarantees one), the radius-`d` ball of each `dist ≤ d` guard, and
-    /// the rows of a positive guard atom that mentions this position
-    /// with an assigned one. Values outside a guard's set falsify the
-    /// body and values outside the δ-ball falsify δ, so each is sound.
-    fn candidates(&self, plan: &Plan<'_>, idx: usize, out: &mut Vec<u32>) {
+    /// Fills `out` with the candidates for depth `idx`: the δ-ball of an
+    /// assigned `G`-neighbour (BFS order guarantees one), unless the
+    /// guard planner finds a smaller set — the radius-`d` prefix of an
+    /// assigned position's layers for a `dist ≤ d` guard, or the rows of
+    /// a guard atom. Values outside a guard's set falsify the body and
+    /// values outside the δ-ball falsify δ, so each is sound.
+    fn candidates(&mut self, plan: &Plan<'_>, idx: usize, out: &mut Vec<u32>) {
         let node = plan.order[idx];
         let anchor = self
             .path
             .iter()
             .find(|p| plan.b.graph.edge(node, p.node))
             .unwrap_or_else(|| unreachable!("BFS order guarantees an assigned neighbour"));
-        let mut best = self.depths[anchor.layers].layers.within(plan.bound);
+        let ball = self.depths[anchor.layers].layers.within(plan.bound);
         if self.use_atom_candidates {
-            for &(j, d) in &plan.guards[idx] {
-                let layers = &self.depths[self.path[j].layers].layers;
-                if d <= layers.cap() && layers.within(d).len() < best.len() {
-                    best = layers.within(d);
-                }
-            }
-            if let Some(rows) = self.atom_candidates(plan.b, node) {
-                if rows.len() <= best.len() {
-                    *out = rows;
-                    return;
-                }
+            let mut ctx = PathGuards {
+                vars: &plan.b.vars,
+                path: &self.path,
+                depths: &self.depths,
+                stats: &mut self.ev.stats,
+            };
+            let var = plan.b.vars[node];
+            if self
+                .planner
+                .candidates(var, &plan.b.body, &[], ball.len(), &mut ctx, out)
+            {
+                return;
             }
         }
         out.clear();
-        out.extend_from_slice(best);
+        out.extend_from_slice(ball);
     }
 
-    /// The *support* of `y₁`: if the body has a positive atom conjunct
-    /// containing `y₁`, only elements occurring at those atom positions
-    /// can have a non-zero count. `None` means "no restriction".
-    fn support(&self, b: &BasicClTerm) -> Option<Vec<u32>> {
-        fn find(f: &Formula, var: Var, s: &Structure, best: &mut Option<Vec<u32>>) {
-            match f {
-                Formula::And(parts) => {
-                    parts.iter().for_each(|p| find(p, var, s, best));
-                }
-                Formula::Exists(z, g) if *z != var => find(g, var, s, best),
-                Formula::Atom(at) if at.args.contains(&var) => {
-                    let Some(rel) = s.relation(at.rel) else {
-                        return;
-                    };
-                    let positions: Vec<usize> = at
-                        .args
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, v)| **v == var)
-                        .map(|(i, _)| i)
-                        .collect();
-                    let mut vals: Vec<u32> = Vec::with_capacity(rel.len());
-                    'rows: for row in rel.rows() {
-                        // All positions of `var` must agree within a row.
-                        let first = row[positions[0]];
-                        for &p in &positions[1..] {
-                            if row[p] != first {
-                                continue 'rows;
-                            }
-                        }
-                        vals.push(first);
-                    }
-                    vals.sort_unstable();
-                    vals.dedup();
-                    match best {
-                        Some(cur) if cur.len() <= vals.len() => {}
-                        _ => *best = Some(vals),
-                    }
-                }
-                _ => {}
-            }
-        }
-        let mut best = None;
-        find(&b.body, b.vars[0], self.a, &mut best);
-        best
-    }
-
-    /// Candidate values for tuple position `node` from a positive guard
-    /// atom of the body mentioning it together with an assigned
-    /// variable — a relational-index lookup instead of a ball scan.
-    fn atom_candidates(&self, b: &BasicClTerm, node: usize) -> Option<Vec<u32>> {
-        let bound = |v: Var| {
-            self.path
-                .iter()
-                .find(|p| b.vars[p.node] == v)
-                .map(|p| p.val)
+    /// The *support* of `y₁`: the candidates of its cheapest guard atom,
+    /// outside which every count is 0. `None` means "no restriction".
+    fn support(&mut self, b: &BasicClTerm) -> Option<Vec<u32>> {
+        let mut ctx = PathGuards {
+            vars: &b.vars,
+            path: &[],
+            depths: &[],
+            stats: &mut self.ev.stats,
         };
-        let mut shadowed: Vec<Var> = Vec::new();
-        let mut best: Option<Vec<u32>> = None;
-        collect_atom_candidates(
-            &b.body,
-            b.vars[node],
-            &bound,
-            self.a,
-            &mut shadowed,
-            &mut best,
-        );
-        best
+        let mut elems = Vec::new();
+        self.planner
+            .candidates(b.vars[0], &b.body, &[], usize::MAX, &mut ctx, &mut elems)
+            .then_some(elems)
     }
 
     /// `u^A[a]` for all elements at once (elements outside the guard-atom
@@ -549,8 +485,26 @@ impl<'a> LocalEvaluator<'a> {
                 })??;
                 out[a as usize] = v;
             }
-            return Ok(out);
+        } else {
+            self.eval_parallel(&plan, &elems, threads, &mut out)?;
         }
+        // The reference evaluator's counters (tuple checks and guard
+        // planning, workers included) reach the registry once per term.
+        if let Some(o) = &self.obs {
+            record_eval_stats(&std::mem::take(&mut self.ev.stats), o.parent.metrics());
+        }
+        Ok(out)
+    }
+
+    /// The per-element loop of [`LocalEvaluator::eval_basic_all`] fanned
+    /// out over `threads` workers.
+    fn eval_parallel(
+        &mut self,
+        plan: &Plan<'_>,
+        elems: &[u32],
+        threads: usize,
+        out: &mut [i64],
+    ) -> Result<()> {
         // Elements are independent, so fan out with one evaluator per
         // worker (its layer buffers are sized once, not per element);
         // values are written back under their element id and the
@@ -576,22 +530,24 @@ impl<'a> LocalEvaluator<'a> {
             w
         };
         let results =
-            foc_parallel::par_map_isolated(&elems, threads, meter.as_ref(), worker, |w, _, &e| {
+            foc_parallel::par_map_isolated(elems, threads, meter.as_ref(), worker, |w, _, &e| {
                 w.stats = LocalStats::default();
-                let v = w.eval_planned(&plan, e)?;
-                Ok::<(i64, LocalStats), LocalityError>((v, w.stats))
+                w.ev.reset_stats();
+                let v = w.eval_planned(plan, e)?;
+                Ok::<_, LocalityError>((v, w.stats, w.ev.stats))
             })
             .map_err(|fault| match fault {
                 foc_parallel::Fault::Error(e) => e,
                 foc_parallel::Fault::Panic(p) => p.into(),
             })?;
-        for (&e, (v, st)) in elems.iter().zip(results) {
+        for (&e, (v, st, es)) in elems.iter().zip(results) {
             out[e as usize] = v;
             self.stats.balls += st.balls;
             self.stats.ball_elements += st.ball_elements;
             self.stats.tuples_checked += st.tuples_checked;
+            self.ev.stats.merge(&es);
         }
-        Ok(out)
+        Ok(())
     }
 
     /// `g^A` for a ground basic cl-term: `Σ_a u^A[a]` where `u` pins
@@ -606,6 +562,15 @@ impl<'a> LocalEvaluator<'a> {
     pub fn eval_clterm(&mut self, t: &ClTerm) -> Result<ClValue> {
         eval_clterm_vectors(t, &mut |b| self.eval_basic_all(b))
     }
+}
+
+/// Adds the reference evaluator's counters that the metrics registry
+/// tracks (`eval.*`) to `m`.
+pub fn record_eval_stats(s: &EvalStats, m: &Metrics) {
+    m.counter(names::EVAL_ASSIGNMENTS).add(s.assignments_tried);
+    m.counter(names::EVAL_ATOM_TESTS).add(s.atom_tests);
+    m.counter(names::EVAL_DIST_BFS).add(s.dist_bfs);
+    m.counter(names::EVAL_GUARD_ROWS).add(s.guard_rows);
 }
 
 /// Evaluates a cl-term from the value vectors of its basic terms.
@@ -658,111 +623,32 @@ fn checked_sum(vals: &[i64]) -> Result<i64> {
     })
 }
 
-/// Collects the `dist(x, y) ≤ d` atoms (`x ≠ y`) that are conjuncts of
-/// `f`, looking through conjunctions and existential binders; atoms
-/// mentioning a variable bound on the way are skipped.
-fn dist_conjuncts(f: &Formula, shadowed: &mut Vec<Var>, out: &mut Vec<(Var, Var, u32)>) {
-    match f {
-        Formula::And(parts) => {
-            for p in parts {
-                dist_conjuncts(p, shadowed, out);
-            }
-        }
-        Formula::Exists(z, g) => {
-            shadowed.push(*z);
-            dist_conjuncts(g, shadowed, out);
-            shadowed.pop();
-        }
-        Formula::DistLe { x, y, d } if x != y && !shadowed.contains(x) && !shadowed.contains(y) => {
-            out.push((*x, *y, *d));
-        }
-        _ => {}
-    }
+/// The ball evaluator's side of guard planning: the assigned positions
+/// are the bound variables, and their layers answer `dist` guards.
+struct PathGuards<'p> {
+    vars: &'p [Var],
+    path: &'p [Placed],
+    depths: &'p [Depth],
+    stats: &'p mut EvalStats,
 }
 
-/// Walks the body's conjunctive structure (through foreign existential
-/// binders) looking for positive atoms that mention `var` and at least
-/// one bound, unshadowed variable; collects the matching row values.
-fn collect_atom_candidates(
-    f: &Formula,
-    var: Var,
-    bound: &impl Fn(Var) -> Option<u32>,
-    s: &Structure,
-    shadowed: &mut Vec<Var>,
-    best: &mut Option<Vec<u32>>,
-) {
-    let lookup = |v: Var, shadowed: &[Var]| -> Option<u32> {
-        if shadowed.contains(&v) {
-            None
-        } else {
-            bound(v)
-        }
-    };
-    match f {
-        Formula::And(parts) => {
-            for p in parts {
-                collect_atom_candidates(p, var, bound, s, shadowed, best);
-            }
-        }
-        Formula::Exists(z, g) if *z != var => {
-            shadowed.push(*z);
-            collect_atom_candidates(g, var, bound, s, shadowed, best);
-            shadowed.pop();
-        }
-        Formula::Atom(at) if at.args.contains(&var) => {
-            // Require at least one bound companion variable for
-            // selectivity; otherwise the ball candidates are preferable.
-            if !at
-                .args
-                .iter()
-                .any(|v| *v != var && lookup(*v, shadowed).is_some())
-            {
-                return;
-            }
-            let Some(rel) = s.relation(at.rel) else {
-                return;
-            };
-            // Pick any bound companion position to drive an index lookup.
-            let bound_pos = at.args.iter().enumerate().find_map(|(pos, v)| {
-                if *v != var {
-                    lookup(*v, shadowed).map(|val| (pos, val))
-                } else {
-                    None
-                }
-            });
-            let mut vals = Vec::new();
-            let mut scan = |row: &[u32]| {
-                let mut candidate: Option<u32> = None;
-                for (pos, v) in at.args.iter().enumerate() {
-                    if *v == var {
-                        match candidate {
-                            None => candidate = Some(row[pos]),
-                            Some(c) if c == row[pos] => {}
-                            Some(_) => return,
-                        }
-                    } else if let Some(bound) = lookup(*v, shadowed) {
-                        if bound != row[pos] {
-                            return;
-                        }
-                    }
-                }
-                if let Some(c) = candidate {
-                    vals.push(c);
-                }
-            };
-            match bound_pos {
-                Some((0, val)) => rel.rows_with_first(val).for_each(&mut scan),
-                Some((pos, val)) => rel.rows_with_value_at(pos, val).for_each(&mut scan),
-                None => rel.rows().for_each(scan),
-            }
-            vals.sort_unstable();
-            vals.dedup();
-            match best {
-                Some(cur) if cur.len() <= vals.len() => {}
-                _ => *best = Some(vals),
-            }
-        }
-        _ => {}
+impl GuardContext for PathGuards<'_> {
+    fn value(&self, v: Var) -> Option<u32> {
+        self.path
+            .iter()
+            .find(|p| self.vars[p.node] == v)
+            .map(|p| p.val)
+    }
+
+    fn ball(&mut self, anchor: u32, d: u32, max: usize) -> Option<&[u32]> {
+        let p = self.path.iter().find(|p| p.val == anchor)?;
+        let layers = &self.depths[p.layers].layers;
+        let ball = (d <= layers.cap()).then(|| layers.within(d))?;
+        (ball.len() <= max).then_some(ball)
+    }
+
+    fn stats(&mut self) -> &mut EvalStats {
+        self.stats
     }
 }
 

@@ -57,6 +57,17 @@ pub const LOCAL_TUPLES: &str = "local.tuples_checked";
 /// Histogram; its `total` equals [`LOCAL_BALLS`].
 pub const LOCAL_BALL_SIZE: &str = "local.ball_size";
 
+/// Assignments the reference evaluator tried across quantifiers and
+/// counting terms. Counter.
+pub const EVAL_ASSIGNMENTS: &str = "eval.assignments_tried";
+/// Atom membership tests of the reference evaluator. Counter.
+pub const EVAL_ATOM_TESTS: &str = "eval.atom_tests";
+/// BFS runs of the reference evaluator (`dist` atoms and guards).
+/// Counter.
+pub const EVAL_DIST_BFS: &str = "eval.dist_bfs";
+/// Relation rows visited while building guard candidates. Counter.
+pub const EVAL_GUARD_ROWS: &str = "eval.guard_rows";
+
 /// Work items processed by parallel maps. Counter.
 pub const PARALLEL_ITEMS: &str = "parallel.items";
 /// Batches claimed from the work-stealing cursor. Counter.

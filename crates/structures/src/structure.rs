@@ -93,12 +93,18 @@ impl Relation {
     /// per-position hash index (position 0 uses the primary sort order
     /// instead; see [`Relation::rows_with_first`]).
     pub fn rows_with_value_at(&self, pos: usize, val: u32) -> impl Iterator<Item = &[u32]> + '_ {
+        self.ids_with_value_at(pos, val)
+            .iter()
+            .map(move |&i| self.row(i as usize))
+    }
+
+    /// The ids (see [`Relation::row`]) of the rows behind
+    /// [`Relation::rows_with_value_at`].
+    pub fn ids_with_value_at(&self, pos: usize, val: u32) -> &[u32] {
         assert!(pos < self.arity, "position out of range");
-        let ids: &[u32] = self.position_indexes()[pos]
+        self.position_indexes()[pos]
             .get(&val)
-            .map(|v| v.as_slice())
-            .unwrap_or(&[]);
-        ids.iter().map(move |&i| self.row(i as usize))
+            .map_or(&[], |v| v.as_slice())
     }
 
     /// The arity.
@@ -147,9 +153,13 @@ impl Relation {
 
     /// Rows whose first component equals `first` (contiguous by sorting).
     pub fn rows_with_first(&self, first: u32) -> impl Iterator<Item = &[u32]> + '_ {
-        let lo = self.partition_point_first(first, false);
-        let hi = self.partition_point_first(first, true);
-        (lo..hi).map(move |i| self.row(i))
+        self.first_run(first).map(move |i| self.row(i))
+    }
+
+    /// The ids (see [`Relation::row`]) of the rows behind
+    /// [`Relation::rows_with_first`]: one range of the sorted order.
+    pub fn first_run(&self, first: u32) -> std::ops::Range<usize> {
+        self.partition_point_first(first, false)..self.partition_point_first(first, true)
     }
 
     fn partition_point_first(&self, first: u32, upper: bool) -> usize {
