@@ -20,11 +20,11 @@
 //! budget plus a summary with the exact value and the first budget
 //! that reached the exact rung.
 
-use std::fmt::Write as _;
 use std::time::Instant;
 
 use foc_core::{AnytimeConfig, Confidence, EngineKind, Error, Evaluator};
 use foc_logic::build::{cnt, dist_le, not, v};
+use foc_obs::json::Value;
 use foc_structures::gen::grid;
 
 use crate::table::Table;
@@ -47,56 +47,41 @@ fn fuel_label(fuel: Option<u64>) -> String {
 }
 
 fn emit_json(cells: &[BudgetCell], order: u32, exact: i64, quick: bool) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "{{");
-    let _ = writeln!(
-        out,
-        "  \"experiment\": \"E15 anytime evaluation: quality vs budget\","
-    );
-    let _ = writeln!(out, "  \"engine\": \"cover\",");
-    let _ = writeln!(out, "  \"quick\": {quick},");
-    let _ = writeln!(out, "  \"order\": {order},");
-    let _ = writeln!(out, "  \"query\": \"#(x,y). not dist<=2(x,y)\",");
-    let _ = writeln!(
-        out,
-        "  \"note\": \"fuel-only budgets keep every cell deterministic; quality = banked value / exact value, 0 when no pass banked an answer\","
-    );
-    let _ = writeln!(out, "  \"budgets\": [");
-    for (i, c) in cells.iter().enumerate() {
-        let _ = writeln!(out, "    {{");
-        let _ = writeln!(
-            out,
-            "      \"fuel\": {},",
-            c.fuel.map_or("null".into(), |f| f.to_string())
-        );
-        let _ = writeln!(out, "      \"confidence\": \"{}\",", c.confidence);
-        let _ = writeln!(
-            out,
-            "      \"value\": {},",
-            c.value.map_or("null".into(), |x| x.to_string())
-        );
-        let _ = writeln!(out, "      \"quality\": {:.4},", c.quality);
-        let _ = writeln!(out, "      \"passes\": \"{}\",", c.passes);
-        let _ = writeln!(out, "      \"micros\": {},", c.micros);
-        let _ = writeln!(out, "      \"fuel_spent\": {}", c.fuel_spent);
-        let _ = writeln!(out, "    }}{}", if i + 1 < cells.len() { "," } else { "" });
-    }
-    let _ = writeln!(out, "  ],");
-    let _ = writeln!(out, "  \"summary\": {{");
-    let _ = writeln!(out, "    \"exact_value\": {exact},");
-    let _ = writeln!(out, "    \"budgets\": {},", cells.len());
-    let _ = writeln!(
-        out,
-        "    \"first_exact_fuel\": {},",
-        cells
-            .iter()
-            .find(|c| c.confidence == "exact")
-            .map_or("null".into(), |c| fuel_label(c.fuel))
-    );
-    let _ = writeln!(out, "    \"quality_monotone\": true");
-    let _ = writeln!(out, "  }}");
-    let _ = writeln!(out, "}}");
-    out
+    let budgets = cells.iter().map(|c| {
+        Value::object()
+            .with("fuel", c.fuel)
+            .with("confidence", c.confidence.as_str())
+            .with("value", c.value)
+            .with("quality", Value::fixed(c.quality, 4))
+            .with("passes", c.passes.as_str())
+            .with("micros", c.micros)
+            .with("fuel_spent", c.fuel_spent)
+    });
+    // `null` = unbounded, as in the budget cells.
+    let first_exact_fuel = cells
+        .iter()
+        .find(|c| c.confidence == "exact")
+        .and_then(|c| c.fuel);
+    Value::object()
+        .with("experiment", "E15 anytime evaluation: quality vs budget")
+        .with("engine", "cover")
+        .with("quick", quick)
+        .with("order", order)
+        .with("query", "#(x,y). not dist<=2(x,y)")
+        .with(
+            "note",
+            "fuel-only budgets keep every cell deterministic; quality = banked value / exact value, 0 when no pass banked an answer",
+        )
+        .with("budgets", budgets.collect::<Value>())
+        .with(
+            "summary",
+            Value::object()
+                .with("exact_value", exact)
+                .with("budgets", cells.len())
+                .with("first_exact_fuel", first_exact_fuel)
+                .with("quality_monotone", true),
+        )
+        .pretty()
 }
 
 /// E15: the quality-vs-budget curve of anytime evaluation. Returns the

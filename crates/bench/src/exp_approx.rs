@@ -24,13 +24,13 @@
 //! `BENCH_approx.json`: one record per (family, ε) cell plus a summary
 //! with the contract outcomes.
 
-use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::Instant;
 
 use foc_core::{ApproxConfig, EngineKind, Evaluator};
 use foc_logic::build::{and_all, atom, cnt, v};
 use foc_logic::Term;
+use foc_obs::json::Value;
 use foc_structures::gen::{clique, gnm};
 use foc_structures::Structure;
 use rand::rngs::StdRng;
@@ -116,47 +116,42 @@ fn exact_micros(kind: EngineKind, a: &Structure, q: &Arc<Term>) -> (i64, u64) {
 }
 
 fn emit_json(cells: &[Cell], quick: bool, best_speedup_at_tenth: f64) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "{{");
-    let _ = writeln!(
-        out,
-        "  \"experiment\": \"E16 approximate counting: speedup vs epsilon\","
-    );
-    let _ = writeln!(out, "  \"quick\": {quick},");
-    let _ = writeln!(out, "  \"delta\": 0.05,");
-    let _ = writeln!(
-        out,
-        "  \"note\": \"seeded Hoeffding estimator vs the faster of the naive/local exact engines; every estimate asserted within its claimed bound\","
-    );
-    let _ = writeln!(out, "  \"cells\": [");
-    for (i, c) in cells.iter().enumerate() {
-        let _ = writeln!(out, "    {{");
-        let _ = writeln!(out, "      \"family\": \"{}\",", c.family);
-        let _ = writeln!(out, "      \"order\": {},", c.order);
-        let _ = writeln!(out, "      \"epsilon\": {},", c.epsilon);
-        let _ = writeln!(out, "      \"exact\": {},", c.exact);
-        let _ = writeln!(out, "      \"estimate\": {},", c.estimate);
-        let _ = writeln!(out, "      \"error_bound\": {},", c.error_bound);
-        let _ = writeln!(out, "      \"samples\": {},", c.samples);
-        let _ = writeln!(out, "      \"exhaustive\": {},", c.exhaustive);
-        let _ = writeln!(out, "      \"approx_micros\": {},", c.approx_us);
-        let _ = writeln!(out, "      \"naive_micros\": {},", c.naive_us);
-        let _ = writeln!(out, "      \"local_micros\": {},", c.local_us);
-        let _ = writeln!(out, "      \"speedup\": {:.2},", c.speedup);
-        let _ = writeln!(out, "      \"within_bound\": true");
-        let _ = writeln!(out, "    }}{}", if i + 1 < cells.len() { "," } else { "" });
-    }
-    let _ = writeln!(out, "  ],");
-    let _ = writeln!(out, "  \"summary\": {{");
-    let _ = writeln!(out, "    \"cells\": {},", cells.len());
-    let _ = writeln!(out, "    \"contract_violations\": 0,");
-    let _ = writeln!(
-        out,
-        "    \"best_speedup_at_epsilon_0_1\": {best_speedup_at_tenth:.2}"
-    );
-    let _ = writeln!(out, "  }}");
-    let _ = writeln!(out, "}}");
-    out
+    let cell = |c: &Cell| {
+        Value::object()
+            .with("family", c.family)
+            .with("order", c.order)
+            .with("epsilon", c.epsilon)
+            .with("exact", c.exact)
+            .with("estimate", c.estimate)
+            .with("error_bound", c.error_bound)
+            .with("samples", c.samples)
+            .with("exhaustive", c.exhaustive)
+            .with("approx_micros", c.approx_us)
+            .with("naive_micros", c.naive_us)
+            .with("local_micros", c.local_us)
+            .with("speedup", Value::fixed(c.speedup, 2))
+            .with("within_bound", true)
+    };
+    Value::object()
+        .with("experiment", "E16 approximate counting: speedup vs epsilon")
+        .with("quick", quick)
+        .with("delta", 0.05)
+        .with(
+            "note",
+            "seeded Hoeffding estimator vs the faster of the naive/local exact engines; every estimate asserted within its claimed bound",
+        )
+        .with("cells", cells.iter().map(cell).collect::<Value>())
+        .with(
+            "summary",
+            Value::object()
+                .with("cells", cells.len())
+                .with("contract_violations", 0u64)
+                .with(
+                    "best_speedup_at_epsilon_0_1",
+                    Value::fixed(best_speedup_at_tenth, 2),
+                ),
+        )
+        .pretty()
 }
 
 /// E16: speedup-vs-ε of the seeded `(ε, δ)` estimator against exact

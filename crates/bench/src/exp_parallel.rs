@@ -10,11 +10,11 @@
 //! on (on a single-CPU host the sweep measures scheduling overhead, not
 //! speedup — the JSON says so rather than hiding it).
 
-use std::fmt::Write as _;
 use std::time::Instant;
 
 use foc_core::{EngineKind, Evaluator};
 use foc_logic::parse::{parse_formula, parse_term};
+use foc_obs::json::Value;
 use foc_structures::gen::{bounded_degree, grid, random_tree};
 use foc_structures::Structure;
 use rand::rngs::StdRng;
@@ -123,50 +123,41 @@ fn run_cell(w: &Workload, threads: usize, baseline: Option<&(i64, f64)>) -> (i64
 }
 
 fn emit_json(cells: &[Cell], quick: bool) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "{{");
-    let _ = writeln!(
-        out,
-        "  \"experiment\": \"E12 parallel cluster evaluation\","
-    );
-    let _ = writeln!(out, "  \"engine\": \"cover\",");
-    let _ = writeln!(out, "  \"cpus\": {},", foc_parallel::available_threads());
-    let _ = writeln!(out, "  \"quick\": {quick},");
-    let _ = writeln!(
-        out,
-        "  \"note\": \"speedup is wall-clock vs threads=1 on this host; with cpus=1 the sweep can only measure scheduling overhead\","
-    );
-    let _ = writeln!(out, "  \"cells\": [");
-    for (i, c) in cells.iter().enumerate() {
-        let _ = writeln!(out, "    {{");
-        let _ = writeln!(
-            out,
-            "      \"workload\": \"{}\",",
-            c.workload.replace('"', "'")
-        );
-        let _ = writeln!(out, "      \"order\": {},", c.order);
-        let _ = writeln!(out, "      \"threads\": {},", c.threads);
-        let _ = writeln!(out, "      \"seconds\": {:.6},", c.secs);
-        let _ = writeln!(out, "      \"speedup_vs_1\": {:.3},", c.speedup);
-        let _ = writeln!(out, "      \"identical_to_sequential\": {},", c.identical);
-        let _ = writeln!(out, "      \"clusters\": {},", c.clusters);
-        let _ = writeln!(out, "      \"covers_built\": {},", c.covers_built);
-        let _ = writeln!(out, "      \"removals\": {},", c.removals);
-        let _ = writeln!(out, "      \"peak_cluster\": {},", c.peak_cluster);
-        let _ = writeln!(out, "      \"cache_hits\": {},", c.cache_hits);
-        let _ = writeln!(out, "      \"cache_misses\": {},", c.cache_misses);
-        let _ = writeln!(out, "      \"balls\": {},", c.balls);
-        let _ = writeln!(out, "      \"phases_micros\": {{");
-        let _ = writeln!(out, "        \"materialize\": {},", c.materialize_micros);
-        let _ = writeln!(out, "        \"decompose\": {},", c.decompose_micros);
-        let _ = writeln!(out, "        \"cover\": {},", c.cover_micros);
-        let _ = writeln!(out, "        \"eval\": {}", c.eval_micros);
-        let _ = writeln!(out, "      }}");
-        let _ = writeln!(out, "    }}{}", if i + 1 < cells.len() { "," } else { "" });
-    }
-    let _ = writeln!(out, "  ]");
-    let _ = writeln!(out, "}}");
-    out
+    let cell = |c: &Cell| {
+        Value::object()
+            .with("workload", c.workload)
+            .with("order", c.order)
+            .with("threads", c.threads)
+            .with("seconds", Value::fixed(c.secs, 6))
+            .with("speedup_vs_1", Value::fixed(c.speedup, 3))
+            .with("identical_to_sequential", c.identical)
+            .with("clusters", c.clusters)
+            .with("covers_built", c.covers_built)
+            .with("removals", c.removals)
+            .with("peak_cluster", c.peak_cluster)
+            .with("cache_hits", c.cache_hits)
+            .with("cache_misses", c.cache_misses)
+            .with("balls", c.balls)
+            .with(
+                "phases_micros",
+                Value::object()
+                    .with("materialize", c.materialize_micros)
+                    .with("decompose", c.decompose_micros)
+                    .with("cover", c.cover_micros)
+                    .with("eval", c.eval_micros),
+            )
+    };
+    Value::object()
+        .with("experiment", "E12 parallel cluster evaluation")
+        .with("engine", "cover")
+        .with("cpus", foc_parallel::available_threads())
+        .with("quick", quick)
+        .with(
+            "note",
+            "speedup is wall-clock vs threads=1 on this host; with cpus=1 the sweep can only measure scheduling overhead",
+        )
+        .with("cells", cells.iter().map(cell).collect::<Value>())
+        .pretty()
 }
 
 /// E12: the thread sweep. Returns the markdown table and writes
@@ -259,8 +250,13 @@ mod tests {
         assert!(json.contains("\"identical_to_sequential\": true"));
         assert!(json.contains("\"phases_micros\""));
         assert!(json.contains("\"balls\": 11"));
-        // Balanced braces/brackets — cheap well-formedness proxy without a
-        // JSON parser in the tree.
+        let doc = foc_obs::json::parse(&json).expect("the document parses");
+        let Some(Value::Array(cells)) = doc.get("cells") else {
+            panic!("no cells array: {json}");
+        };
+        assert_eq!(cells[0].get("speedup_vs_1"), Some(&Value::fixed(1.9, 3)));
+        // Balanced braces/brackets — a cheap well-formedness proxy; the
+        // parse below is the full check.
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         assert_eq!(json.matches('[').count(), json.matches(']').count());
     }

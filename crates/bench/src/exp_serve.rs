@@ -16,7 +16,6 @@
 //! on/off pair and their throughput ratio land in
 //! `BENCH_telemetry.json`.
 
-use std::fmt::Write as _;
 use std::io::{BufRead, BufReader, Read as _, Write as _};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -24,6 +23,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use foc_core::EngineKind;
+use foc_obs::json::{parse, Value};
 use foc_obs::names;
 use foc_serve::{start, ServerConfig};
 use foc_structures::gen::grid;
@@ -147,21 +147,23 @@ fn run_cell(
                 let (mut served, mut shed, mut errors) = (0u64, 0u64, 0u64);
                 for i in 0..per_client {
                     let (mode, query) = QUERIES[rng.gen_range(0..QUERIES.len())];
-                    let req = format!(
-                        "{{\"id\":\"c{c}-{i}\",\"mode\":\"{mode}\",\"query\":\"{query}\"}}"
-                    );
+                    let req = Value::object()
+                        .with("id", format!("c{c}-{i}"))
+                        .with("mode", mode)
+                        .with("query", query);
                     let t = Instant::now();
                     writeln!(writer, "{req}").expect("send");
                     let mut line = String::new();
                     reader.read_line(&mut line).expect("recv");
                     let micros = t.elapsed().as_micros() as u64;
-                    if line.contains("\"type\":\"result\"") {
-                        served += 1;
-                        latencies.push(micros);
-                    } else if line.contains("\"type\":\"shed\"") {
-                        shed += 1;
-                    } else {
-                        errors += 1;
+                    let reply = parse(&line).unwrap_or(Value::Null);
+                    match reply.get("type").and_then(Value::as_str) {
+                        Some("result") => {
+                            served += 1;
+                            latencies.push(micros);
+                        }
+                        Some("shed") => shed += 1,
+                        _ => errors += 1,
                     }
                 }
                 (latencies, served, shed, errors)
@@ -214,79 +216,71 @@ fn run_cell(
     }
 }
 
+/// The fields a stress cell shares between `BENCH_serve.json` and
+/// `BENCH_telemetry.json`, up to the latency pair.
+fn load_fields(cell: Value, c: &LoadCell) -> Value {
+    cell.with("clients", c.clients)
+        .with("requests", c.requests)
+        .with("served", c.served)
+        .with("shed", c.shed)
+}
+
+fn latency(c: &LoadCell) -> Value {
+    Value::object()
+        .with("p50", c.p50_micros)
+        .with("p99", c.p99_micros)
+}
+
 fn emit_json(cells: &[LoadCell], quick: bool) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "{{");
-    let _ = writeln!(out, "  \"experiment\": \"E13 service mode under load\",");
-    let _ = writeln!(out, "  \"engine\": \"local\",");
-    let _ = writeln!(out, "  \"cpus\": {},", foc_parallel::available_threads());
-    let _ = writeln!(out, "  \"quick\": {quick},");
-    let _ = writeln!(
-        out,
-        "  \"note\": \"loopback stress with max_inflight=4, queue=8; on a 1-CPU host the client sweep measures queueing and shedding, not parallel speedup\","
-    );
-    let _ = writeln!(out, "  \"cells\": [");
-    for (i, c) in cells.iter().enumerate() {
-        let _ = writeln!(out, "    {{");
-        let _ = writeln!(out, "      \"clients\": {},", c.clients);
-        let _ = writeln!(out, "      \"requests\": {},", c.requests);
-        let _ = writeln!(out, "      \"served\": {},", c.served);
-        let _ = writeln!(out, "      \"shed\": {},", c.shed);
-        let _ = writeln!(out, "      \"errors\": {},", c.errors);
-        let _ = writeln!(out, "      \"seconds\": {:.6},", c.secs);
-        let _ = writeln!(out, "      \"throughput_rps\": {:.3},", c.throughput());
-        let _ = writeln!(out, "      \"latency_micros\": {{");
-        let _ = writeln!(out, "        \"p50\": {},", c.p50_micros);
-        let _ = writeln!(out, "        \"p99\": {}", c.p99_micros);
-        let _ = writeln!(out, "      }},");
-        let _ = writeln!(out, "      \"peak_resident_bytes\": {},", c.peak_resident);
-        let _ = writeln!(out, "      \"drain\": {{");
-        let _ = writeln!(out, "        \"interrupted\": {},", c.drain_interrupted);
-        let _ = writeln!(out, "        \"micros\": {}", c.drain_micros);
-        let _ = writeln!(out, "      }}");
-        let _ = writeln!(out, "    }}{}", if i + 1 < cells.len() { "," } else { "" });
-    }
-    let _ = writeln!(out, "  ]");
-    let _ = writeln!(out, "}}");
-    out
+    let cell = |c: &LoadCell| {
+        load_fields(Value::object(), c)
+            .with("errors", c.errors)
+            .with("seconds", Value::fixed(c.secs, 6))
+            .with("throughput_rps", Value::fixed(c.throughput(), 3))
+            .with("latency_micros", latency(c))
+            .with("peak_resident_bytes", c.peak_resident)
+            .with(
+                "drain",
+                Value::object()
+                    .with("interrupted", c.drain_interrupted)
+                    .with("micros", c.drain_micros),
+            )
+    };
+    Value::object()
+        .with("experiment", "E13 service mode under load")
+        .with("engine", "local")
+        .with("cpus", foc_parallel::available_threads())
+        .with("quick", quick)
+        .with(
+            "note",
+            "loopback stress with max_inflight=4, queue=8; on a 1-CPU host the client sweep measures queueing and shedding, not parallel speedup",
+        )
+        .with("cells", cells.iter().map(cell).collect::<Value>())
+        .pretty()
 }
 
 fn emit_telemetry_json(off: &LoadCell, on: &LoadCell, quick: bool) -> String {
     let ratio = on.throughput() / off.throughput().max(1e-9);
-    let cell = |out: &mut String, label: &str, c: &LoadCell, last: bool| {
-        let _ = writeln!(out, "    {{");
-        let _ = writeln!(out, "      \"telemetry\": \"{label}\",");
-        let _ = writeln!(out, "      \"clients\": {},", c.clients);
-        let _ = writeln!(out, "      \"requests\": {},", c.requests);
-        let _ = writeln!(out, "      \"served\": {},", c.served);
-        let _ = writeln!(out, "      \"shed\": {},", c.shed);
-        let _ = writeln!(out, "      \"seconds\": {:.6},", c.secs);
-        let _ = writeln!(out, "      \"throughput_rps\": {:.3},", c.throughput());
-        let _ = writeln!(out, "      \"latency_micros\": {{");
-        let _ = writeln!(out, "        \"p50\": {},", c.p50_micros);
-        let _ = writeln!(out, "        \"p99\": {}", c.p99_micros);
-        let _ = writeln!(out, "      }},");
-        let _ = writeln!(out, "      \"traces_kept\": {},", c.traces_kept);
-        let _ = writeln!(out, "      \"scrapes\": {}", c.scrapes);
-        let _ = writeln!(out, "    }}{}", if last { "" } else { "," });
+    let cell = |label: &str, c: &LoadCell| {
+        load_fields(Value::object().with("telemetry", label), c)
+            .with("seconds", Value::fixed(c.secs, 6))
+            .with("throughput_rps", Value::fixed(c.throughput(), 3))
+            .with("latency_micros", latency(c))
+            .with("traces_kept", c.traces_kept)
+            .with("scrapes", c.scrapes)
     };
-    let mut out = String::new();
-    let _ = writeln!(out, "{{");
-    let _ = writeln!(out, "  \"experiment\": \"E13b telemetry overhead\",");
-    let _ = writeln!(out, "  \"engine\": \"local\",");
-    let _ = writeln!(out, "  \"cpus\": {},", foc_parallel::available_threads());
-    let _ = writeln!(out, "  \"quick\": {quick},");
-    let _ = writeln!(
-        out,
-        "  \"note\": \"same seeded load with telemetry fully off vs fully on (tracing + tail sampling + a live /metrics + /stats scraper); on-vs-off throughput ratio below 1.0 is the observability tax\","
-    );
-    let _ = writeln!(out, "  \"on_off_throughput_ratio\": {ratio:.4},");
-    let _ = writeln!(out, "  \"cells\": [");
-    cell(&mut out, "off", off, false);
-    cell(&mut out, "on", on, true);
-    let _ = writeln!(out, "  ]");
-    let _ = writeln!(out, "}}");
-    out
+    Value::object()
+        .with("experiment", "E13b telemetry overhead")
+        .with("engine", "local")
+        .with("cpus", foc_parallel::available_threads())
+        .with("quick", quick)
+        .with(
+            "note",
+            "same seeded load with telemetry fully off vs fully on (tracing + tail sampling + a live /metrics + /stats scraper); on-vs-off throughput ratio below 1.0 is the observability tax",
+        )
+        .with("on_off_throughput_ratio", Value::fixed(ratio, 4))
+        .with("cells", Value::Array(vec![cell("off", off), cell("on", on)]))
+        .pretty()
 }
 
 /// E13: the loopback stress run. Returns the markdown tables and writes

@@ -20,7 +20,6 @@
 //! acceptance bar (≥10× at 10⁵ elements) sits far below the measured
 //! ratio.
 
-use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -29,6 +28,7 @@ use foc_covers::CoverStore;
 use foc_locality::TermCache;
 use foc_logic::build::{and, cnt, dist_le, eq, not, v};
 use foc_logic::{Predicates, Symbol};
+use foc_obs::json::Value;
 use foc_structures::gen::grid;
 use foc_structures::{DeltaStructure, Structure, TupleOp};
 use rand::rngs::StdRng;
@@ -114,59 +114,48 @@ fn median_by<F: Fn(&UpdateCell) -> f64>(cells: &[UpdateCell], f: F) -> f64 {
 }
 
 fn emit_json(cells: &[UpdateCell], order: u32, quick: bool) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "{{");
-    let _ = writeln!(
-        out,
-        "  \"experiment\": \"E14 live updates: served delta path vs rebuild\","
-    );
-    let _ = writeln!(out, "  \"engine\": \"local\",");
-    let _ = writeln!(out, "  \"quick\": {quick},");
-    let _ = writeln!(out, "  \"order\": {order},");
-    let _ = writeln!(out, "  \"query\": \"#(x,y). dist<=2(x,y) and not x=y\",");
-    let _ = writeln!(
-        out,
-        "  \"note\": \"rebuild pays DeltaStructure::rebuild_from_scratch plus a cold full evaluation; delta pays one commit, repair_caches (dirty-ball recomputation) and a warm evaluation; affected counts recomputed vector entries\","
-    );
-    let _ = writeln!(out, "  \"updates\": [");
-    for (i, c) in cells.iter().enumerate() {
-        let _ = writeln!(out, "    {{");
-        let _ = writeln!(out, "      \"op\": \"{}\",", c.op);
-        let _ = writeln!(out, "      \"affected\": {},", c.affected);
-        let _ = writeln!(out, "      \"delta_micros\": {},", c.delta_micros);
-        let _ = writeln!(out, "      \"rebuild_micros\": {},", c.rebuild_micros);
-        let _ = writeln!(out, "      \"speedup\": {:.3}", c.speedup());
-        let _ = writeln!(out, "    }}{}", if i + 1 < cells.len() { "," } else { "" });
-    }
-    let _ = writeln!(out, "  ],");
-    let _ = writeln!(out, "  \"summary\": {{");
-    let _ = writeln!(out, "    \"updates\": {},", cells.len());
-    let _ = writeln!(
-        out,
-        "    \"median_delta_micros\": {:.1},",
-        median_by(cells, |c| c.delta_micros as f64)
-    );
-    let _ = writeln!(
-        out,
-        "    \"median_rebuild_micros\": {:.1},",
-        median_by(cells, |c| c.rebuild_micros as f64)
-    );
-    let _ = writeln!(
-        out,
-        "    \"median_speedup\": {:.3},",
-        median_by(cells, UpdateCell::speedup)
-    );
-    let _ = writeln!(
-        out,
-        "    \"min_speedup\": {:.3}",
-        cells
-            .iter()
-            .map(UpdateCell::speedup)
-            .fold(f64::INFINITY, f64::min)
-    );
-    let _ = writeln!(out, "  }}");
-    let _ = writeln!(out, "}}");
-    out
+    let update = |c: &UpdateCell| {
+        Value::object()
+            .with("op", c.op.as_str())
+            .with("affected", c.affected)
+            .with("delta_micros", c.delta_micros)
+            .with("rebuild_micros", c.rebuild_micros)
+            .with("speedup", Value::fixed(c.speedup(), 3))
+    };
+    let min_speedup = cells
+        .iter()
+        .map(UpdateCell::speedup)
+        .fold(f64::INFINITY, f64::min);
+    Value::object()
+        .with("experiment", "E14 live updates: served delta path vs rebuild")
+        .with("engine", "local")
+        .with("quick", quick)
+        .with("order", order)
+        .with("query", "#(x,y). dist<=2(x,y) and not x=y")
+        .with(
+            "note",
+            "rebuild pays DeltaStructure::rebuild_from_scratch plus a cold full evaluation; delta pays one commit, repair_caches (dirty-ball recomputation) and a warm evaluation; affected counts recomputed vector entries",
+        )
+        .with("updates", cells.iter().map(update).collect::<Value>())
+        .with(
+            "summary",
+            Value::object()
+                .with("updates", cells.len())
+                .with(
+                    "median_delta_micros",
+                    Value::fixed(median_by(cells, |c| c.delta_micros as f64), 1),
+                )
+                .with(
+                    "median_rebuild_micros",
+                    Value::fixed(median_by(cells, |c| c.rebuild_micros as f64), 1),
+                )
+                .with(
+                    "median_speedup",
+                    Value::fixed(median_by(cells, UpdateCell::speedup), 3),
+                )
+                .with("min_speedup", Value::fixed(min_speedup, 3)),
+        )
+        .pretty()
 }
 
 /// E14: the served update path vs from-scratch rebuilds. Returns the

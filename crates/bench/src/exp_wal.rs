@@ -21,9 +21,9 @@
 //! Besides the markdown tables, writes `BENCH_wal.json` to the current
 //! directory; CI checks its schema and sanity bounds.
 
-use std::fmt::Write as _;
 use std::time::{Duration, Instant};
 
+use foc_obs::json::Value;
 use foc_structures::gen::path;
 use foc_structures::{DeltaStructure, Structure, TupleOp};
 use foc_wal::{DirStore, FsyncPolicy, Wal};
@@ -188,65 +188,48 @@ fn emit_json(
         .find(|c| c.policy == "always")
         .map(|c| c.median_micros)
         .unwrap_or(0);
-    let mut out = String::new();
-    let _ = writeln!(out, "{{");
-    let _ = writeln!(
-        out,
-        "  \"experiment\": \"E17 WAL durability: durable-ack overhead and recovery time\","
-    );
-    let _ = writeln!(out, "  \"quick\": {quick},");
-    let _ = writeln!(out, "  \"order\": {order},");
-    let _ = writeln!(out, "  \"updates_per_policy\": {updates},");
-    let _ = writeln!(
-        out,
-        "  \"note\": \"durable_ack times apply+append per policy against the off baseline; recovery times a cold Wal::recover of checkpoint + R records\","
-    );
-    let _ = writeln!(out, "  \"durable_ack\": [");
-    for (i, c) in acks.iter().enumerate() {
-        let overhead = c.median_micros.saturating_sub(off);
-        let _ = writeln!(out, "    {{");
-        let _ = writeln!(out, "      \"policy\": \"{}\",", c.policy);
-        let _ = writeln!(out, "      \"median_update_micros\": {},", c.median_micros);
-        let _ = writeln!(out, "      \"total_micros\": {},", c.total_micros);
-        let _ = writeln!(out, "      \"syncs\": {},", c.syncs);
-        let _ = writeln!(out, "      \"overhead_vs_off_micros\": {overhead}");
-        let _ = writeln!(out, "    }}{}", if i + 1 < acks.len() { "," } else { "" });
-    }
-    let _ = writeln!(out, "  ],");
-    let _ = writeln!(out, "  \"recovery\": [");
-    for (i, c) in recoveries.iter().enumerate() {
-        let per_record = c.recover_micros as f64 / (c.records as f64).max(1.0);
-        let _ = writeln!(out, "    {{");
-        let _ = writeln!(out, "      \"records\": {},", c.records);
-        let _ = writeln!(out, "      \"log_bytes\": {},", c.log_bytes);
-        let _ = writeln!(out, "      \"recover_micros\": {},", c.recover_micros);
-        let _ = writeln!(out, "      \"micros_per_record\": {per_record:.3}");
-        let _ = writeln!(
-            out,
-            "    }}{}",
-            if i + 1 < recoveries.len() { "," } else { "" }
-        );
-    }
-    let _ = writeln!(out, "  ],");
-    let _ = writeln!(out, "  \"summary\": {{");
-    let _ = writeln!(out, "    \"off_median_micros\": {off},");
-    let _ = writeln!(out, "    \"always_median_micros\": {always},");
-    let _ = writeln!(
-        out,
-        "    \"always_overhead_micros\": {},",
-        always.saturating_sub(off)
-    );
-    let _ = writeln!(
-        out,
-        "    \"largest_recovery_micros_per_record\": {:.3}",
-        recoveries
-            .last()
-            .map(|c| c.recover_micros as f64 / (c.records as f64).max(1.0))
-            .unwrap_or(0.0)
-    );
-    let _ = writeln!(out, "  }}");
-    let _ = writeln!(out, "}}");
-    out
+    let per_record = |c: &RecoveryCell| c.recover_micros as f64 / (c.records as f64).max(1.0);
+    let ack = |c: &AckCell| {
+        Value::object()
+            .with("policy", c.policy.as_str())
+            .with("median_update_micros", c.median_micros)
+            .with("total_micros", c.total_micros)
+            .with("syncs", c.syncs)
+            .with(
+                "overhead_vs_off_micros",
+                c.median_micros.saturating_sub(off),
+            )
+    };
+    let recovery = |c: &RecoveryCell| {
+        Value::object()
+            .with("records", c.records)
+            .with("log_bytes", c.log_bytes)
+            .with("recover_micros", c.recover_micros)
+            .with("micros_per_record", Value::fixed(per_record(c), 3))
+    };
+    Value::object()
+        .with("experiment", "E17 WAL durability: durable-ack overhead and recovery time")
+        .with("quick", quick)
+        .with("order", order)
+        .with("updates_per_policy", updates)
+        .with(
+            "note",
+            "durable_ack times apply+append per policy against the off baseline; recovery times a cold Wal::recover of checkpoint + R records",
+        )
+        .with("durable_ack", acks.iter().map(ack).collect::<Value>())
+        .with("recovery", recoveries.iter().map(recovery).collect::<Value>())
+        .with(
+            "summary",
+            Value::object()
+                .with("off_median_micros", off)
+                .with("always_median_micros", always)
+                .with("always_overhead_micros", always.saturating_sub(off))
+                .with(
+                    "largest_recovery_micros_per_record",
+                    Value::fixed(recoveries.last().map_or(0.0, per_record), 3),
+                ),
+        )
+        .pretty()
 }
 
 /// E17: durable-ack overhead per fsync policy plus recovery time vs log

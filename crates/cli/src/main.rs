@@ -49,8 +49,10 @@
 //! second socket (`--telemetry-addr`): `GET /metrics` answers in
 //! Prometheus text exposition format, `GET /healthz` is drain- and
 //! pressure-aware, and `GET /stats` is a one-line JSON snapshot of live
-//! server state. `foc top` polls that `/stats` endpoint: one compact
-//! status line per poll, or the full field table with `--once`.
+//! server state. `foc top` polls that `/stats` endpoint and parses the
+//! body: one compact status line per poll, or the full field table
+//! with `--once`; a body that does not parse, or lacks a field the
+//! line shows, is a runtime error.
 //!
 //! Every evaluation subcommand also accepts `--trace` (stream finished
 //! spans to stderr), `--profile` (print the per-phase wall-time table),
@@ -70,6 +72,7 @@ use std::time::Duration;
 use foc_core::{DegradePolicy, EngineKind, EngineStats, Evaluator, Session};
 use foc_logic::parse::{parse_formula, parse_term};
 use foc_logic::Var;
+use foc_obs::json::Value;
 use foc_obs::{build_tree, render_metrics_table, render_tree, session_json, MemorySink, Sink};
 use foc_structures::gen as generators;
 use foc_structures::io::{parse_structure, write_structure};
@@ -354,13 +357,8 @@ fn report_approx(ev: &Evaluator, v: &foc_core::ApproxValue, elapsed: Duration) {
 fn profile_table(stats: &EngineStats) -> String {
     let mut out = String::new();
     out.push_str("phase        micros\n");
-    for (name, d) in [
-        ("materialize", stats.phase.materialize),
-        ("decompose", stats.phase.decompose),
-        ("cover", stats.phase.cover),
-        ("eval", stats.phase.eval),
-    ] {
-        out.push_str(&format!("{name:<12} {}\n", d.as_micros()));
+    for (name, micros) in phase_micros(stats) {
+        out.push_str(&format!("{name:<12} {micros}\n"));
     }
     out.push_str(&format!(
         "markers={} clterms={} basics={} fallbacks={} sentences={}\n",
@@ -396,20 +394,42 @@ fn finish_session(
     if has_flag(args, "--profile") {
         eprint!("{}", profile_table(&stats));
     }
+    let spans = mem.map(|m| m.spans()).unwrap_or_default();
+    write_metrics_json(
+        args,
+        &format!("{:?}", ev.kind()).to_lowercase(),
+        &phase_micros(&stats),
+        &snap,
+        &spans,
+    )
+}
+
+/// Writes the [`session_json`] document to the `--metrics-json` path,
+/// when one was given.
+fn write_metrics_json(
+    args: &[String],
+    engine: &str,
+    phases: &[(&str, u64)],
+    snap: &foc_obs::MetricsSnapshot,
+    spans: &[foc_obs::FinishedSpan],
+) -> CliResult {
     if let Some(path) = flag_value(args, "--metrics-json") {
-        let spans = mem.map(|m| m.spans()).unwrap_or_default();
-        let phases = [
-            ("materialize", stats.phase.materialize.as_micros() as u64),
-            ("decompose", stats.phase.decompose.as_micros() as u64),
-            ("cover", stats.phase.cover.as_micros() as u64),
-            ("eval", stats.phase.eval.as_micros() as u64),
-        ];
-        let engine = format!("{:?}", ev.kind()).to_lowercase();
-        let json = session_json(&engine, &phases, &snap, &spans);
-        std::fs::write(path, json).map_err(|e| format!("cannot write {path}: {e}"))?;
+        std::fs::write(path, session_json(engine, phases, snap, spans))
+            .map_err(|e| format!("cannot write {path}: {e}"))?;
         eprintln!("wrote {path}");
     }
     Ok(())
+}
+
+/// The session's phase wall times, as `--profile` and `--metrics-json`
+/// report them.
+fn phase_micros(stats: &EngineStats) -> [(&'static str, u64); 4] {
+    [
+        ("materialize", stats.phase.materialize.as_micros() as u64),
+        ("decompose", stats.phase.decompose.as_micros() as u64),
+        ("cover", stats.phase.cover.as_micros() as u64),
+        ("eval", stats.phase.eval.as_micros() as u64),
+    ]
 }
 
 /// The in-memory sink backing `--metrics-json` span capture, when asked
@@ -644,28 +664,24 @@ fn cmd_explain(args: &[String]) -> CliResult {
     let stats = session.stats();
     let snap = session.observer().metrics().snapshot();
     drop(session);
+    let spans = mem.spans();
     println!("answer: {answer}");
     println!("engine: {:?} ({elapsed:?})", ev.kind());
     println!();
     println!("span tree:");
-    print!("{}", render_tree(&build_tree(&mem.spans())));
+    print!("{}", render_tree(&build_tree(&spans)));
     println!();
     println!("metrics:");
     print!("{}", render_metrics_table(&snap));
     println!();
     print!("{}", profile_table(&stats));
-    if let Some(json_path) = flag_value(args, "--metrics-json") {
-        let phases = [
-            ("materialize", stats.phase.materialize.as_micros() as u64),
-            ("decompose", stats.phase.decompose.as_micros() as u64),
-            ("cover", stats.phase.cover.as_micros() as u64),
-            ("eval", stats.phase.eval.as_micros() as u64),
-        ];
-        let engine = format!("{:?}", ev.kind()).to_lowercase();
-        let json = session_json(&engine, &phases, &snap, &mem.spans());
-        std::fs::write(json_path, json).map_err(|e| format!("cannot write {json_path}: {e}"))?;
-        eprintln!("wrote {json_path}");
-    }
+    write_metrics_json(
+        args,
+        &format!("{:?}", ev.kind()).to_lowercase(),
+        &phase_micros(&stats),
+        &snap,
+        &spans,
+    )?;
     match interrupt {
         Some(i) => Err(CliError::Interrupted(i)),
         None => Ok(()),
@@ -855,11 +871,7 @@ fn cmd_fuzz(args: &[String]) -> CliResult {
         let mut stdout = std::io::stdout().lock();
         let report = foc_diff::fuzz_crash(&cfg, &metrics, &mut stdout);
         drop(stdout);
-        if let Some(path) = flag_value(args, "--metrics-json") {
-            let json = session_json("fuzz-crash", &[], &metrics.snapshot(), &[]);
-            std::fs::write(path, json).map_err(|e| format!("cannot write {path}: {e}"))?;
-            eprintln!("wrote {path}");
-        }
+        write_metrics_json(args, "fuzz-crash", &[], &metrics.snapshot(), &[])?;
         return if report.clean() {
             Ok(())
         } else {
@@ -888,11 +900,7 @@ fn cmd_fuzz(args: &[String]) -> CliResult {
         let mut stdout = std::io::stdout().lock();
         let report = foc_diff::fuzz_updates(&cfg, &metrics, &mut stdout);
         drop(stdout);
-        if let Some(path) = flag_value(args, "--metrics-json") {
-            let json = session_json("fuzz-updates", &[], &metrics.snapshot(), &[]);
-            std::fs::write(path, json).map_err(|e| format!("cannot write {path}: {e}"))?;
-            eprintln!("wrote {path}");
-        }
+        write_metrics_json(args, "fuzz-updates", &[], &metrics.snapshot(), &[])?;
         return if report.clean() {
             Ok(())
         } else {
@@ -947,11 +955,7 @@ fn cmd_fuzz(args: &[String]) -> CliResult {
         foc_diff::fuzz(&cfg, &metrics, &mut stdout)
     };
     drop(stdout);
-    if let Some(path) = flag_value(args, "--metrics-json") {
-        let json = session_json("fuzz", &[], &metrics.snapshot(), &[]);
-        std::fs::write(path, json).map_err(|e| format!("cannot write {path}: {e}"))?;
-        eprintln!("wrote {path}");
-    }
+    write_metrics_json(args, "fuzz", &[], &metrics.snapshot(), &[])?;
     if report.clean() {
         Ok(())
     } else {
@@ -1116,11 +1120,7 @@ fn cmd_serve(args: &[String]) -> CliResult {
         report.interrupted,
         report.connections_joined,
     );
-    if let Some(path) = flag_value(args, "--metrics-json") {
-        let json = session_json("serve", &[], snap, &[]);
-        std::fs::write(path, json).map_err(|e| format!("cannot write {path}: {e}"))?;
-        eprintln!("wrote {path}");
-    }
+    write_metrics_json(args, "serve", &[], snap, &[])?;
     if report.interrupted > 0 {
         return Err(CliError::Interrupted(foc_core::Interrupt {
             reason: foc_core::TripReason::Cancelled,
@@ -1284,39 +1284,34 @@ fn http_get(addr: &str, path: &str) -> CliResult<String> {
     Ok(body.to_string())
 }
 
-/// Pulls one `"key":<number-or-bool>` field out of a one-line JSON
-/// object by string scan. `/stats` carries one fractional field
-/// (`cache_hit_rate`), which the strict protocol parser rejects by
-/// design, so `foc top` reads fields positionally instead of parsing.
-fn stats_field<'a>(stats: &'a str, key: &str) -> &'a str {
-    let needle = format!("\"{key}\":");
-    let Some(at) = stats.find(&needle) else {
-        return "?";
-    };
-    let rest = &stats[at + needle.len()..];
-    let end = rest.find([',', '}']).unwrap_or(rest.len());
-    rest[..end].trim()
-}
-
-/// A `/stats` body must be one complete one-line JSON object. Anything
-/// else — a truncated read, an empty body, an HTML error page — gets a
-/// clear one-line diagnostic and a nonzero exit instead of a table of
-/// `?` placeholders.
-fn validate_stats(addr: &str, body: &str) -> CliResult<()> {
-    let t = body.trim();
-    if t.starts_with('{') && t.ends_with('}') && t.contains("\"uptime_micros\":") {
-        return Ok(());
+/// Parses a `/stats` body. Anything but a JSON object carrying
+/// `uptime_micros` — a truncated read, an empty body, an HTML error
+/// page — gets a clear one-line diagnostic instead of a table.
+fn parse_stats(addr: &str, body: &str) -> CliResult<Value> {
+    match foc_obs::json::parse(body) {
+        Ok(v) if v.get("uptime_micros").is_some() => Ok(v),
+        parsed => {
+            let why = parsed.err().unwrap_or_else(|| "no uptime_micros".into());
+            let preview: String = body.trim().chars().take(60).collect();
+            Err(CliError::Runtime(format!(
+                "truncated or malformed /stats response from {addr} ({why}): {preview:?}"
+            )))
+        }
     }
-    let preview: String = t.chars().take(60).collect();
-    Err(CliError::Runtime(format!(
-        "truncated or malformed /stats response from {addr} ({} bytes): {preview:?}",
-        t.len()
-    )))
 }
 
-/// `foc top`: poll a serve telemetry listener's `/stats` endpoint and
-/// print live server state — one compact line per poll, or the full
-/// field table once with `--once`.
+/// One `/stats` field as printed; a missing field is an error, not a
+/// placeholder.
+fn stat<'a>(stats: &'a Value, key: &str) -> CliResult<&'a Value> {
+    stats
+        .get(key)
+        .ok_or_else(|| CliError::Runtime(format!("/stats has no {key:?} field")))
+}
+
+/// `foc top`: poll a serve telemetry listener's `/stats` endpoint,
+/// parse the JSON body, and print live server state — one compact line
+/// per poll, or every field once with `--once`. A body that does not
+/// parse, or lacks a field the line shows, is a runtime error.
 fn cmd_top(args: &[String]) -> CliResult {
     let pos = positional(args);
     let [addr] = pos.as_slice() else {
@@ -1334,80 +1329,51 @@ fn cmd_top(args: &[String]) -> CliResult {
     let once = has_flag(args, "--once");
 
     loop {
-        let stats = http_get(addr, "/stats")?;
-        validate_stats(addr, &stats)?;
+        let stats = parse_stats(addr, &http_get(addr, "/stats")?)?;
         if once {
-            // Full table: every field of the one-line JSON, one per row.
-            for field in [
-                "uptime_micros",
-                "inflight",
-                "queue_depth",
-                "draining",
-                "pressure",
-                "epoch",
-                "requests",
-                "shed",
-                "errors",
-                "interrupted",
-                "slow_queries",
-                "traces_kept",
-                "postmortems",
-                "cache_entries",
-                "cache_bytes",
-                "cache_hit_rate",
-                "resident_bytes",
-                "peak_resident_bytes",
-                "wal_enabled",
-                "wal_readonly",
-                "wal_last_sync_age_micros",
-                "wal_bytes_since_checkpoint",
-                "wal_appends",
-                "wal_checkpoints",
-                "frames_oversized",
-                "recovery_replayed",
-            ] {
-                println!("{field:<22} {}", stats_field(&stats, field));
+            // Full table: every field of the body, one per row.
+            if let Value::Object(fields) = &stats {
+                for (field, v) in fields {
+                    println!("{field:<22} {v}");
+                }
             }
             return Ok(());
         }
-        let uptime_s = stats_field(&stats, "uptime_micros")
-            .parse::<u64>()
-            .unwrap_or(0) as f64
+        let flag = |key: &str| -> CliResult<bool> {
+            stat(&stats, key)?
+                .as_bool()
+                .ok_or_else(|| CliError::Runtime(format!("/stats field {key:?} is not a boolean")))
+        };
+        let uptime_s = stat(&stats, "uptime_micros")?
+            .as_i64()
+            .ok_or("/stats field \"uptime_micros\" is not an integer")?
+            as f64
             / 1e6;
-        // WAL health (satellite of the durability work): last-fsync age
-        // and log growth since the last checkpoint, only when a WAL is
-        // configured on the server.
-        let wal = if stats_field(&stats, "wal_enabled") == "true" {
+        // WAL health: last-fsync age and log growth since the last
+        // checkpoint, only when a WAL is configured on the server.
+        let wal = if flag("wal_enabled")? {
             format!(
                 "  wal age {}us log {}B",
-                stats_field(&stats, "wal_last_sync_age_micros"),
-                stats_field(&stats, "wal_bytes_since_checkpoint"),
+                stat(&stats, "wal_last_sync_age_micros")?,
+                stat(&stats, "wal_bytes_since_checkpoint")?,
             )
         } else {
             String::new()
         };
         println!(
             "up {uptime_s:7.1}s  inflight {:>3}  queue {:>3}  req {:>6}  shed {:>4}  err {:>4}  slow {:>4}  cache {} ({} B, hit {})  pressure {}{wal}{}{}",
-            stats_field(&stats, "inflight"),
-            stats_field(&stats, "queue_depth"),
-            stats_field(&stats, "requests"),
-            stats_field(&stats, "shed"),
-            stats_field(&stats, "errors"),
-            stats_field(&stats, "slow_queries"),
-            stats_field(&stats, "cache_entries"),
-            stats_field(&stats, "cache_bytes"),
-            stats_field(&stats, "cache_hit_rate"),
-            stats_field(&stats, "pressure"),
-            if stats_field(&stats, "wal_readonly") == "true" {
-                "  WAL-READONLY"
-            } else {
-                ""
-            },
-            if stats_field(&stats, "draining") == "true" {
-                "  DRAINING"
-            } else {
-                ""
-            },
+            stat(&stats, "inflight")?,
+            stat(&stats, "queue_depth")?,
+            stat(&stats, "requests")?,
+            stat(&stats, "shed")?,
+            stat(&stats, "errors")?,
+            stat(&stats, "slow_queries")?,
+            stat(&stats, "cache_entries")?,
+            stat(&stats, "cache_bytes")?,
+            stat(&stats, "cache_hit_rate")?,
+            stat(&stats, "pressure")?,
+            if flag("wal_readonly")? { "  WAL-READONLY" } else { "" },
+            if flag("draining")? { "  DRAINING" } else { "" },
         );
         std::io::stdout().flush().ok();
         std::thread::sleep(interval);
@@ -1445,13 +1411,19 @@ mod tests {
     }
 
     #[test]
-    fn stats_fields_are_extracted_by_scan() {
-        let stats = "{\"uptime_micros\":1500000,\"inflight\":3,\"draining\":false,\"cache_hit_rate\":0.7500,\"peak_resident_bytes\":42}";
-        assert_eq!(stats_field(stats, "inflight"), "3");
-        assert_eq!(stats_field(stats, "draining"), "false");
-        assert_eq!(stats_field(stats, "cache_hit_rate"), "0.7500");
-        assert_eq!(stats_field(stats, "peak_resident_bytes"), "42");
-        assert_eq!(stats_field(stats, "missing"), "?");
+    fn stats_fields_are_read_by_parsing() {
+        let stats = parse_stats("x", "{\"uptime_micros\":1500000,\"inflight\":3,\"draining\":false,\"cache_hit_rate\":0.7500,\"peak_resident_bytes\":42}").unwrap();
+        assert_eq!(stat(&stats, "inflight").unwrap().to_string(), "3");
+        assert_eq!(stat(&stats, "draining").unwrap().to_string(), "false");
+        assert_eq!(
+            stat(&stats, "cache_hit_rate").unwrap().to_string(),
+            "0.7500"
+        );
+        assert_eq!(
+            stat(&stats, "peak_resident_bytes").unwrap().to_string(),
+            "42"
+        );
+        assert!(stat(&stats, "missing").is_err());
     }
 
     #[test]
@@ -1795,9 +1767,9 @@ mod tests {
     #[test]
     fn stats_validation_accepts_real_and_rejects_junk() {
         let good = "{\"uptime_micros\":1500000,\"inflight\":3,\"cache_hit_rate\":0.7500}";
-        assert!(validate_stats("x", good).is_ok());
+        assert!(parse_stats("x", good).is_ok());
         for bad in ["", "{\"upti", "<html>502</html>", "{\"inflight\":3}"] {
-            assert!(validate_stats("x", bad).is_err(), "should reject {bad:?}");
+            assert!(parse_stats("x", bad).is_err(), "should reject {bad:?}");
         }
     }
 

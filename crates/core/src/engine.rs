@@ -84,29 +84,8 @@ pub enum DegradePolicy {
     /// strategy, recording each step in the `engine.degrade.*` counters.
     #[default]
     FallThrough,
-    /// One rung below [`FallThrough`] on the robustness ladder (and one
-    /// above load shedding in the serving stack): capability errors
-    /// fall through exactly as under `FallThrough`, *and* the caller
-    /// has opted into anytime evaluation — budget trips should yield a
-    /// tagged best-so-far answer (see [`crate::anytime`]) instead of
-    /// [`Error::Interrupted`]. The deepening entry points honour the
-    /// opt-in; the plain entry points behave as `FallThrough`.
-    Anytime,
     /// Surface the first capability error instead of degrading.
     Strict,
-}
-
-impl DegradePolicy {
-    /// Whether capability errors walk down the engine ladder.
-    pub fn falls_through(self) -> bool {
-        !matches!(self, DegradePolicy::Strict)
-    }
-
-    /// Whether the caller opted into best-so-far answers on budget
-    /// trips.
-    pub fn is_anytime(self) -> bool {
-        matches!(self, DegradePolicy::Anytime)
-    }
 }
 
 /// Per-phase wall time of one evaluation session.
@@ -690,12 +669,6 @@ impl<'a> Session<'a> {
     /// histograms and JSON export) and the attached sinks.
     pub fn observer(&self) -> &Arc<Observer> {
         &self.obs
-    }
-
-    /// A span handle parenting under the session root, for callers that
-    /// want to nest their own spans into the session's tree.
-    pub fn span_handle(&self) -> SpanHandle {
-        self.root.handle()
     }
 
     /// The request identity this session's budget was armed with, if

@@ -24,7 +24,10 @@
 //!   ring of recent span closures and events, dumped as a postmortem
 //!   JSON document when a serving process hits trouble;
 //! * **Names** ([`names`]) — the metric-name taxonomy shared by every
-//!   instrumented crate.
+//!   instrumented crate;
+//! * **JSON** ([`json`]) — the workspace's one JSON reader and writer:
+//!   serve frames, `/stats`, trace lines, reports and `BENCH_*.json`
+//!   documents all go through it.
 //!
 //! The crate is dependency-free and sits below every other workspace
 //! member, so any layer — the work-stealing scheduler, the term cache,
@@ -50,6 +53,7 @@
 #![warn(missing_docs)]
 
 pub mod expo;
+pub mod json;
 pub mod metrics;
 pub mod names;
 pub mod recorder;

@@ -21,7 +21,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::{Instant, SystemTime, UNIX_EPOCH};
 
-use crate::report::json_escape;
+use crate::json::Value;
 use crate::sink::Sink;
 use crate::span::FinishedSpan;
 
@@ -114,33 +114,21 @@ impl FlightRecorder {
             .duration_since(UNIX_EPOCH)
             .map(|d| d.as_micros() as u64)
             .unwrap_or(0);
-        let events = self.recent();
-        let mut out = String::new();
-        let _ = writeln!(out, "{{");
-        let _ = writeln!(out, "  \"reason\": \"{}\",", json_escape(reason));
-        let _ = writeln!(out, "  \"unix_micros\": {unix_micros},");
-        let _ = writeln!(
-            out,
-            "  \"uptime_micros\": {},",
-            self.epoch.elapsed().as_micros() as u64
-        );
-        let _ = writeln!(out, "  \"recorded\": {},", self.recorded());
-        let _ = writeln!(out, "  \"events\": [");
-        for (i, e) in events.iter().enumerate() {
-            let comma = if i + 1 < events.len() { "," } else { "" };
-            let _ = writeln!(
-                out,
-                "    {{\"seq\": {}, \"micros\": {}, \"kind\": \"{}\", \"name\": \"{}\", \"detail\": \"{}\"}}{comma}",
-                e.seq,
-                e.micros,
-                e.kind,
-                json_escape(&e.name),
-                json_escape(&e.detail)
-            );
-        }
-        let _ = writeln!(out, "  ]");
-        let _ = writeln!(out, "}}");
-        out
+        let events = self.recent().into_iter().map(|e| {
+            Value::object()
+                .with("seq", e.seq)
+                .with("micros", e.micros)
+                .with("kind", e.kind)
+                .with("name", e.name)
+                .with("detail", e.detail)
+        });
+        Value::object()
+            .with("reason", reason)
+            .with("unix_micros", unix_micros)
+            .with("uptime_micros", self.epoch.elapsed().as_micros() as u64)
+            .with("recorded", self.recorded())
+            .with("events", events.collect::<Value>())
+            .pretty()
     }
 
     /// Writes the postmortem document to `path` (creating or

@@ -1,30 +1,14 @@
 //! Report rendering: span trees, metrics tables, and the JSON export
-//! consumed by `foc … --metrics-json` (and validated in CI).
+//! consumed by `foc … --metrics-json` (and validated in CI), written
+//! through [`crate::json`].
 
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
+use crate::json::Value;
 use crate::metrics::{HistogramSnapshot, MetricsSnapshot};
 use crate::sink::span_to_json;
 use crate::span::FinishedSpan;
-
-/// Escapes a string for inclusion inside a JSON string literal.
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
 
 /// One node of a reconstructed span tree.
 #[derive(Debug, Clone)]
@@ -240,8 +224,9 @@ pub fn render_metrics_table(snap: &MetricsSnapshot) -> String {
 }
 
 /// The JSON export of one evaluation session: phase wall times, every
-/// registry instrument, and the span list. The schema is pinned by CI:
-/// the top level always contains `phases`, `counters`, and `spans`.
+/// registry instrument, and the span list, as a pretty-printed
+/// [`crate::json`] document. The schema is pinned by CI: the top level
+/// always contains `phases`, `counters`, and `spans`. Sketched compactly:
 ///
 /// ```text
 /// {
@@ -260,55 +245,35 @@ pub fn session_json(
     snap: &MetricsSnapshot,
     spans: &[FinishedSpan],
 ) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "{{");
-    let _ = writeln!(out, "  \"engine\": \"{}\",", json_escape(engine));
-    let _ = writeln!(out, "  \"phases\": {{");
-    for (i, (name, micros)) in phases.iter().enumerate() {
-        let comma = if i + 1 < phases.len() { "," } else { "" };
-        let _ = writeln!(out, "    \"{}_micros\": {micros}{comma}", json_escape(name));
-    }
-    let _ = writeln!(out, "  }},");
-    let _ = writeln!(out, "  \"counters\": {{");
-    for (i, (k, v)) in snap.counters.iter().enumerate() {
-        let comma = if i + 1 < snap.counters.len() { "," } else { "" };
-        let _ = writeln!(out, "    \"{}\": {v}{comma}", json_escape(k));
-    }
-    let _ = writeln!(out, "  }},");
-    let _ = writeln!(out, "  \"gauges\": {{");
-    for (i, (k, v)) in snap.gauges.iter().enumerate() {
-        let comma = if i + 1 < snap.gauges.len() { "," } else { "" };
-        let _ = writeln!(out, "    \"{}\": {v}{comma}", json_escape(k));
-    }
-    let _ = writeln!(out, "  }},");
-    let _ = writeln!(out, "  \"histograms\": {{");
-    for (i, (k, h)) in snap.histograms.iter().enumerate() {
-        let comma = if i + 1 < snap.histograms.len() {
-            ","
-        } else {
-            ""
-        };
-        let bounds: Vec<String> = h.bounds.iter().map(|b| b.to_string()).collect();
-        let counts: Vec<String> = h.counts.iter().map(|c| c.to_string()).collect();
-        let _ = writeln!(
-            out,
-            "    \"{}\": {{\"bounds\": [{}], \"counts\": [{}], \"total\": {}, \"sum\": {}}}{comma}",
-            json_escape(k),
-            bounds.join(", "),
-            counts.join(", "),
-            h.total,
-            h.sum
-        );
-    }
-    let _ = writeln!(out, "  }},");
-    let _ = writeln!(out, "  \"spans\": [");
-    for (i, s) in spans.iter().enumerate() {
-        let comma = if i + 1 < spans.len() { "," } else { "" };
-        let _ = writeln!(out, "    {}{comma}", span_to_json(s));
-    }
-    let _ = writeln!(out, "  ]");
-    let _ = writeln!(out, "}}");
-    out
+    let counts = |m: &BTreeMap<String, u64>| {
+        Value::Object(
+            m.iter()
+                .map(|(k, v)| (k.clone(), Value::from(*v)))
+                .collect(),
+        )
+    };
+    let histogram = |h: &HistogramSnapshot| {
+        Value::object()
+            .with("bounds", h.bounds.iter().copied().collect::<Value>())
+            .with("counts", h.counts.iter().copied().collect::<Value>())
+            .with("total", h.total)
+            .with("sum", h.sum)
+    };
+    let phases = phases
+        .iter()
+        .map(|(n, us)| (format!("{n}_micros"), Value::from(*us)));
+    let histograms = snap
+        .histograms
+        .iter()
+        .map(|(k, h)| (k.clone(), histogram(h)));
+    Value::object()
+        .with("engine", engine)
+        .with("phases", Value::Object(phases.collect()))
+        .with("counters", counts(&snap.counters))
+        .with("gauges", counts(&snap.gauges))
+        .with("histograms", Value::Object(histograms.collect()))
+        .with("spans", spans.iter().map(span_to_json).collect::<Value>())
+        .pretty()
 }
 
 #[cfg(test)]
@@ -400,12 +365,6 @@ mod tests {
         assert!(json.contains("\"cover.clusters\": 3"));
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         assert_eq!(json.matches('[').count(), json.matches(']').count());
-    }
-
-    #[test]
-    fn escape_covers_controls() {
-        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(json_escape("\u{1}"), "\\u0001");
     }
 
     #[test]

@@ -10,7 +10,7 @@
 use std::io::Write;
 use std::sync::{Arc, Mutex};
 
-use crate::report::json_escape;
+use crate::json::Value;
 use crate::span::{AttrValue, FinishedSpan};
 
 /// Receives every finished span of an observer. Implementations must be
@@ -69,39 +69,30 @@ impl JsonLinesSink {
     }
 }
 
-/// Serialises one span as a single-line JSON object.
-pub fn span_to_json(span: &FinishedSpan) -> String {
-    let mut out = format!(
-        "{{\"span\":\"{}\",\"id\":{},\"parent\":{},\"start_micros\":{},\"dur_micros\":{}",
-        json_escape(span.name),
-        span.id,
-        span.parent
-            .map_or_else(|| "null".to_string(), |p| p.to_string()),
-        span.start_nanos / 1_000,
-        span.dur_nanos / 1_000,
-    );
+/// One span as a JSON object (written as one line by [`JsonLinesSink`]).
+pub fn span_to_json(span: &FinishedSpan) -> Value {
+    let mut v = Value::object()
+        .with("span", span.name)
+        .with("id", span.id)
+        .with("parent", span.parent)
+        .with("start_micros", span.start_nanos / 1_000)
+        .with("dur_micros", span.dur_nanos / 1_000);
     if !span.attrs.is_empty() {
-        out.push_str(",\"attrs\":{");
-        for (i, (k, v)) in span.attrs.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            match v {
-                AttrValue::Int(n) => out.push_str(&format!("\"{}\":{n}", json_escape(k))),
-                AttrValue::Text(t) => {
-                    out.push_str(&format!("\"{}\":\"{}\"", json_escape(k), json_escape(t)))
-                }
-            }
-        }
-        out.push('}');
+        let attrs = span.attrs.iter().map(|(k, a)| {
+            let value = match a {
+                AttrValue::Int(n) => Value::from(*n),
+                AttrValue::Text(t) => Value::from(t.as_str()),
+            };
+            (k.to_string(), value)
+        });
+        v = v.with("attrs", Value::Object(attrs.collect()));
     }
-    out.push('}');
-    out
+    v
 }
 
 impl Sink for JsonLinesSink {
     fn record(&self, span: &FinishedSpan) {
-        let line = span_to_json(span);
+        let line = span_to_json(span).compact();
         let mut w = self.w.lock().expect("jsonl writer poisoned");
         let _ = writeln!(w, "{line}");
     }
@@ -169,7 +160,7 @@ mod tests {
 
     #[test]
     fn jsonl_escapes_and_structures() {
-        let json = span_to_json(&span());
+        let json = span_to_json(&span()).compact();
         assert!(json.contains("\"span\":\"cover\""));
         assert!(json.contains("\"parent\":0"));
         assert!(json.contains("\"radius\":2"));

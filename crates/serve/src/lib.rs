@@ -67,7 +67,6 @@
 #![warn(clippy::unwrap_used, clippy::expect_used)]
 #![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
 
-pub mod json;
 pub mod protocol;
 pub mod server;
 mod telemetry;

@@ -56,13 +56,17 @@
 //!   estimate is within ±`error_bound` of the true count with
 //!   probability ≥ 1−δ. `"epsilon_milli"` (1..=1000, thousandths)
 //!   overrides the server's default ε; the wire stays integer-only.
+//!
+//! Lines are read by [`foc_obs::json::parse`], which accepts any JSON
+//! number; every integer field here (`proto`, `timeout_ms`, `fuel`,
+//! `mem_limit_bytes`, `epsilon_milli`, tuple components) is read with
+//! [`foc_obs::json::Value::as_i64`], so a fraction in one is a
+//! `bad-request`. Frames are written by its compact writer.
 
 use std::time::Duration;
 
 use foc_core::{Confidence, EngineKind};
-use foc_obs::report::json_escape;
-
-use crate::json::{parse, Value};
+use foc_obs::json::{parse, Value};
 
 /// The baseline wire-protocol version: one frame per request. Stamped
 /// on every proto-1 frame; requests declaring an unknown version are
@@ -183,7 +187,7 @@ fn parse_op(v: &Value) -> Result<UpdateOp, String> {
     let tuple = match v.get("tuple") {
         Some(Value::Array(items)) => items
             .iter()
-            .map(|t| match t.as_int() {
+            .map(|t| match t.as_i64() {
                 Some(x) if (0..=i64::from(u32::MAX)).contains(&x) => Ok(x as u32),
                 _ => Err("\"tuple\" components must be non-negative integers".to_string()),
             })
@@ -211,9 +215,28 @@ pub fn parse_request(line: &str) -> Result<Request, ParseFailure> {
         .unwrap_or("-")
         .to_string();
     let fail = |msg: String| Err(bad(&id, msg));
+    // The protocol's typed accessors for optional fields: an absent
+    // field is `None`, a present one of the wrong type (a fraction where
+    // an integer is due included) is a `bad-request`.
+    let flag = |key: &str| match v.get(key) {
+        None => Ok(false),
+        Some(b) => b
+            .as_bool()
+            .ok_or_else(|| bad(&id, format!("\"{key}\" must be a boolean"))),
+    };
+    let count = |key: &str| match v.get(key) {
+        None => Ok(None),
+        Some(n) => match n.as_i64() {
+            Some(x) if x >= 0 => Ok(Some(x as u64)),
+            _ => Err(bad(
+                &id,
+                format!("\"{key}\" must be a non-negative integer"),
+            )),
+        },
+    };
     let proto = match v.get("proto") {
         None => PROTO_VERSION,
-        Some(p) => match p.as_int() {
+        Some(p) => match p.as_i64() {
             Some(p @ (PROTO_VERSION | PROTO_PROGRESSIVE)) => p,
             Some(other) => {
                 return Err(ParseFailure {
@@ -227,25 +250,13 @@ pub fn parse_request(line: &str) -> Result<Request, ParseFailure> {
             None => return fail("\"proto\" must be an integer".to_string()),
         },
     };
-    let anytime = match v.get("anytime") {
-        None => false,
-        Some(b) => match b.as_bool() {
-            Some(x) => x,
-            None => return fail("\"anytime\" must be a boolean".to_string()),
-        },
-    };
+    let anytime = flag("anytime")?;
     if anytime && proto < PROTO_PROGRESSIVE {
         return fail(format!(
             "\"anytime\" requires proto {PROTO_PROGRESSIVE} (progressive frames)"
         ));
     }
-    let approx = match v.get("approx") {
-        None => false,
-        Some(b) => match b.as_bool() {
-            Some(x) => x,
-            None => return fail("\"approx\" must be a boolean".to_string()),
-        },
-    };
+    let approx = flag("approx")?;
     if approx && proto < PROTO_PROGRESSIVE {
         return fail(format!(
             "\"approx\" requires proto {PROTO_PROGRESSIVE} (approx-flagged frames)"
@@ -253,7 +264,7 @@ pub fn parse_request(line: &str) -> Result<Request, ParseFailure> {
     }
     let epsilon = match v.get("epsilon_milli") {
         None => None,
-        Some(e) => match e.as_int() {
+        Some(e) => match e.as_i64() {
             Some(milli @ 1..=1000) => Some(milli as f64 / 1000.0),
             _ => return fail("\"epsilon_milli\" must be an integer in 1..=1000".to_string()),
         },
@@ -301,27 +312,9 @@ pub fn parse_request(line: &str) -> Result<Request, ParseFailure> {
             _ => return fail("missing \"ops\" array".to_string()),
         },
     };
-    let timeout = match v.get("timeout_ms") {
-        None => None,
-        Some(t) => match t.as_int() {
-            Some(ms) if ms >= 0 => Some(Duration::from_millis(ms as u64)),
-            _ => return fail("\"timeout_ms\" must be a non-negative integer".to_string()),
-        },
-    };
-    let fuel = match v.get("fuel") {
-        None => None,
-        Some(t) => match t.as_int() {
-            Some(f) if f >= 0 => Some(f as u64),
-            _ => return fail("\"fuel\" must be a non-negative integer".to_string()),
-        },
-    };
-    let mem_limit = match v.get("mem_limit_bytes") {
-        None => None,
-        Some(t) => match t.as_int() {
-            Some(b) if b >= 0 => Some(b as u64),
-            _ => return fail("\"mem_limit_bytes\" must be a non-negative integer".to_string()),
-        },
-    };
+    let timeout = count("timeout_ms")?.map(Duration::from_millis);
+    let fuel = count("fuel")?;
+    let mem_limit = count("mem_limit_bytes")?;
     let engine = match v.get("engine").and_then(Value::as_str) {
         None => None,
         Some("naive") => Some(EngineKind::Naive),
@@ -345,21 +338,23 @@ pub fn parse_request(line: &str) -> Result<Request, ParseFailure> {
     })
 }
 
-/// Renders the confidence fields shared by `partial` and anytime
+/// Appends the confidence fields shared by `partial` and anytime
 /// `result` frames: `"confidence":…` plus, for partial coverage, the
-/// progress pair.
-fn confidence_fields(c: &Confidence) -> String {
+/// progress pair, and for an estimate its `approx` flag and bound.
+fn with_confidence(frame: Value, c: &Confidence) -> Value {
     match c {
         Confidence::Partial {
             clusters_done,
             clusters_total,
-        } => format!(
-            ",\"confidence\":\"partial\",\"clusters_done\":{clusters_done},\"clusters_total\":{clusters_total}"
-        ),
-        Confidence::Approximate { error_bound } => format!(
-            ",\"confidence\":\"approx\",\"approx\":true,\"error_bound\":{error_bound}"
-        ),
-        other => format!(",\"confidence\":\"{}\"", other.tag()),
+        } => frame
+            .with("confidence", "partial")
+            .with("clusters_done", *clusters_done)
+            .with("clusters_total", *clusters_total),
+        Confidence::Approximate { error_bound } => frame
+            .with("confidence", "approx")
+            .with("approx", true)
+            .with("error_bound", *error_bound),
+        other => frame.with("confidence", other.tag()),
     }
 }
 
@@ -370,6 +365,24 @@ pub enum Answer {
     Bool(bool),
     /// `eval` value.
     Int(i64),
+}
+
+impl From<Answer> for Value {
+    fn from(a: Answer) -> Value {
+        match a {
+            Answer::Bool(b) => b.into(),
+            Answer::Int(i) => i.into(),
+        }
+    }
+}
+
+/// The fields every request-scoped frame opens with.
+fn frame(kind: &str, proto: i64, id: &str, trace_id: &str) -> Value {
+    Value::object()
+        .with("type", kind)
+        .with("proto", proto)
+        .with("id", id)
+        .with("trace_id", trace_id)
 }
 
 /// Renders a query result frame. `epoch` is the mutation epoch of the
@@ -383,16 +396,12 @@ pub fn result_frame(
     epoch: u64,
     micros: u64,
 ) -> String {
-    let value = match answer {
-        Answer::Bool(b) => b.to_string(),
-        Answer::Int(i) => i.to_string(),
-    };
-    format!(
-        "{{\"type\":\"result\",\"proto\":{PROTO_VERSION},\"id\":\"{}\",\"trace_id\":\"{}\",\"mode\":\"{}\",\"value\":{value},\"epoch\":{epoch},\"micros\":{micros}}}",
-        json_escape(id),
-        json_escape(trace_id),
-        mode.name(),
-    )
+    frame("result", PROTO_VERSION, id, trace_id)
+        .with("mode", mode.name())
+        .with("value", answer)
+        .with("epoch", epoch)
+        .with("micros", micros)
+        .compact()
 }
 
 /// Renders one progressive `partial` frame (proto 2): the answer a
@@ -407,18 +416,13 @@ pub fn partial_frame(
     confidence: &Confidence,
     micros: u64,
 ) -> String {
-    let value = match answer {
-        Answer::Bool(b) => b.to_string(),
-        Answer::Int(i) => i.to_string(),
-    };
-    format!(
-        "{{\"type\":\"partial\",\"proto\":{PROTO_PROGRESSIVE},\"id\":\"{}\",\"trace_id\":\"{}\",\"mode\":\"{}\",\"pass\":\"{}\",\"value\":{value}{},\"micros\":{micros}}}",
-        json_escape(id),
-        json_escape(trace_id),
-        mode.name(),
-        json_escape(pass),
-        confidence_fields(confidence),
-    )
+    let f = frame("partial", PROTO_PROGRESSIVE, id, trace_id)
+        .with("mode", mode.name())
+        .with("pass", pass)
+        .with("value", answer);
+    with_confidence(f, confidence)
+        .with("micros", micros)
+        .compact()
 }
 
 /// Renders the terminal result frame of an anytime request: the
@@ -436,17 +440,13 @@ pub fn anytime_result_frame(
     epoch: u64,
     micros: u64,
 ) -> String {
-    let value = match answer {
-        Answer::Bool(b) => b.to_string(),
-        Answer::Int(i) => i.to_string(),
-    };
-    format!(
-        "{{\"type\":\"result\",\"proto\":{proto},\"id\":\"{}\",\"trace_id\":\"{}\",\"mode\":\"{}\",\"value\":{value}{},\"epoch\":{epoch},\"micros\":{micros}}}",
-        json_escape(id),
-        json_escape(trace_id),
-        mode.name(),
-        confidence_fields(confidence),
-    )
+    let f = frame("result", proto, id, trace_id)
+        .with("mode", mode.name())
+        .with("value", answer);
+    with_confidence(f, confidence)
+        .with("epoch", epoch)
+        .with("micros", micros)
+        .compact()
 }
 
 /// Renders a mutation result frame: the epoch now current after the
@@ -460,12 +460,12 @@ pub fn update_frame(
     changed: usize,
     micros: u64,
 ) -> String {
-    format!(
-        "{{\"type\":\"result\",\"proto\":{PROTO_VERSION},\"id\":\"{}\",\"trace_id\":\"{}\",\"mode\":\"{}\",\"epoch\":{epoch},\"changed\":{changed},\"micros\":{micros}}}",
-        json_escape(id),
-        json_escape(trace_id),
-        mode.name(),
-    )
+    frame("result", PROTO_VERSION, id, trace_id)
+        .with("mode", mode.name())
+        .with("epoch", epoch)
+        .with("changed", changed)
+        .with("micros", micros)
+        .compact()
 }
 
 /// Renders an error frame. `reason` is present only for
@@ -478,16 +478,11 @@ pub fn error_frame(
     reason: Option<&str>,
     message: &str,
 ) -> String {
-    let reason_field = reason
-        .map(|r| format!(",\"reason\":\"{}\"", json_escape(r)))
-        .unwrap_or_default();
-    format!(
-        "{{\"type\":\"error\",\"proto\":{PROTO_VERSION},\"id\":\"{}\",\"trace_id\":\"{}\",\"class\":\"{}\"{reason_field},\"message\":\"{}\"}}",
-        json_escape(id),
-        json_escape(trace_id),
-        json_escape(class),
-        json_escape(message),
-    )
+    let mut f = frame("error", PROTO_VERSION, id, trace_id).with("class", class);
+    if let Some(r) = reason {
+        f = f.with("reason", r);
+    }
+    f.with("message", message).compact()
 }
 
 /// Renders a shed frame (admission refused; retry after the hint).
@@ -495,16 +490,17 @@ pub fn error_frame(
 /// enough to carry one, `"-"` when the whole connection was refused
 /// during drain.
 pub fn shed_frame(id: &str, trace_id: &str, retry_after_ms: u64) -> String {
-    format!(
-        "{{\"type\":\"shed\",\"proto\":{PROTO_VERSION},\"id\":\"{}\",\"trace_id\":\"{}\",\"retry_after_ms\":{retry_after_ms}}}",
-        json_escape(id),
-        json_escape(trace_id),
-    )
+    frame("shed", PROTO_VERSION, id, trace_id)
+        .with("retry_after_ms", retry_after_ms)
+        .compact()
 }
 
 /// Renders the drain notice sent before the server closes a stream.
 pub fn drained_frame() -> String {
-    format!("{{\"type\":\"drained\",\"proto\":{PROTO_VERSION}}}")
+    Value::object()
+        .with("type", "drained")
+        .with("proto", PROTO_VERSION)
+        .compact()
 }
 
 #[cfg(test)]
@@ -641,7 +637,7 @@ mod tests {
         assert!(exact.contains("\"proto\":1"));
         for f in [&p, &r, &exact] {
             assert!(!f.contains('\n'));
-            crate::json::parse(f).unwrap_or_else(|e| panic!("unparseable {f}: {e}"));
+            parse(f).unwrap_or_else(|e| panic!("unparseable {f}: {e}"));
         }
     }
 
@@ -709,7 +705,7 @@ mod tests {
         assert!(p.contains("\"approx\":true,\"error_bound\":90"));
         for f in [&r, &p] {
             assert!(!f.contains('\n'));
-            crate::json::parse(f).unwrap_or_else(|e| panic!("unparseable {f}: {e}"));
+            parse(f).unwrap_or_else(|e| panic!("unparseable {f}: {e}"));
         }
     }
 
@@ -744,10 +740,10 @@ mod tests {
         ];
         for f in &frames {
             assert!(!f.contains('\n'), "frame must be one line: {f}");
-            let v = crate::json::parse(f).unwrap_or_else(|e| panic!("unparseable {f}: {e}"));
+            let v = parse(f).unwrap_or_else(|e| panic!("unparseable {f}: {e}"));
             assert!(v.get("type").is_some());
             assert_eq!(
-                v.get("proto").and_then(crate::json::Value::as_int),
+                v.get("proto").and_then(Value::as_i64),
                 Some(PROTO_VERSION),
                 "every frame carries the protocol version: {f}"
             );
@@ -755,11 +751,9 @@ mod tests {
         // Every frame except the connection-level drain notice carries
         // the request's trace_id.
         for f in &frames[..frames.len() - 1] {
-            let v = crate::json::parse(f).unwrap();
+            let v = parse(f).unwrap();
             assert!(
-                v.get("trace_id")
-                    .and_then(crate::json::Value::as_str)
-                    .is_some(),
+                v.get("trace_id").and_then(Value::as_str).is_some(),
                 "request-scoped frames carry trace_id: {f}"
             );
         }
@@ -771,5 +765,110 @@ mod tests {
             frames[2],
             "{\"type\":\"result\",\"proto\":1,\"id\":\"u\",\"trace_id\":\"t3\",\"mode\":\"update\",\"epoch\":5,\"changed\":2,\"micros\":9}"
         );
+    }
+
+    #[test]
+    fn fractions_are_refused_by_the_integer_fields() {
+        // The reader accepts `1.5`; the protocol's integer accessor
+        // refuses it wherever an integer is due.
+        let f = parse_request("1.5").unwrap_err();
+        assert_eq!(f.class, "bad-request");
+        let f = parse_request(r#"{"id":"t","mode":"check","query":"true","timeout_ms":1.5}"#)
+            .unwrap_err();
+        assert_eq!(f.class, "bad-request");
+        assert_eq!(f.id, "t");
+        assert!(f.message.contains("timeout_ms"));
+    }
+
+    /// Wire bytes pinned against the frames of the hand-assembled
+    /// writers this crate used before the shared JSON layer: clients and
+    /// log scrapers see byte-identical frames.
+    #[test]
+    fn wire_bytes_match_the_golden_frames() {
+        use foc_obs::{names, AttrValue, FinishedSpan, Metrics};
+        let span = FinishedSpan {
+            id: 1,
+            parent: Some(0),
+            name: "eval",
+            start_nanos: 2_500,
+            dur_nanos: 7_900,
+            attrs: vec![
+                ("radius", AttrValue::Int(2)),
+                ("note", AttrValue::Text("a \"b\"\tc".into())),
+            ],
+        };
+        let tc = foc_guard::TraceContext::new("00000000000000a1-5", "t\\1");
+        let m = Metrics::new();
+        m.counter(names::SERVE_REQUESTS).add(120);
+        m.counter(names::RECOVERY_REPLAYED).add(3);
+        let live = crate::server::LiveStats {
+            uptime_micros: 1_500_000,
+            inflight: 3,
+            cache_hit_rate: 0.75,
+            wal: Some((0, 0)),
+            ..Default::default()
+        };
+        let approx = Confidence::Approximate { error_bound: 90 };
+        let msg = "interrupted by deadline in phase engine\n(after 50 ms)";
+        let cases = [
+            (
+                result_frame(
+                    "r1",
+                    "00000000000000a1-1",
+                    Mode::Eval,
+                    Answer::Int(1560),
+                    3,
+                    1834,
+                ),
+                r##"{"type":"result","proto":1,"id":"r1","trace_id":"00000000000000a1-1","mode":"eval","value":1560,"epoch":3,"micros":1834}"##,
+            ),
+            (
+                anytime_result_frame(
+                    2,
+                    "q\"9",
+                    "00000000000000a1-2",
+                    Mode::Eval,
+                    Answer::Int(870),
+                    &approx,
+                    4,
+                    44,
+                ),
+                r##"{"type":"result","proto":2,"id":"q\"9","trace_id":"00000000000000a1-2","mode":"eval","value":870,"confidence":"approx","approx":true,"error_bound":90,"epoch":4,"micros":44}"##,
+            ),
+            (
+                error_frame(
+                    "e1",
+                    "00000000000000a1-3",
+                    "interrupted",
+                    Some("deadline"),
+                    msg,
+                ),
+                r##"{"type":"error","proto":1,"id":"e1","trace_id":"00000000000000a1-3","class":"interrupted","reason":"deadline","message":"interrupted by deadline in phase engine\n(after 50 ms)"}"##,
+            ),
+            (
+                shed_frame("s1", "00000000000000a1-4", 57),
+                r##"{"type":"shed","proto":1,"id":"s1","trace_id":"00000000000000a1-4","retry_after_ms":57}"##,
+            ),
+            (
+                crate::trace::trace_line(
+                    &tc,
+                    "eval",
+                    "#(x). E(x,\"y\")",
+                    7,
+                    42,
+                    "slow",
+                    "tail",
+                    &[span],
+                ),
+                r##"{"trace_id":"00000000000000a1-5","request_id":"t\\1","mode":"eval","query":"#(x). E(x,\"y\")","epoch":7,"micros":42,"outcome":"slow","sampled":"tail","spans":[{"span":"eval","id":1,"parent":0,"start_micros":2,"dur_micros":7,"attrs":{"radius":2,"note":"a \"b\"\tc"}}]}"##,
+            ),
+            (
+                live.to_json(&m.snapshot()),
+                r##"{"uptime_micros":1500000,"inflight":3,"queue_depth":0,"draining":false,"pressure":0,"epoch":0,"requests":120,"shed":0,"errors":0,"interrupted":0,"slow_queries":0,"traces_kept":0,"postmortems":0,"cache_entries":0,"cache_bytes":0,"cache_hit_rate":0.7500,"resident_bytes":0,"peak_resident_bytes":0,"wal_enabled":true,"wal_readonly":false,"wal_last_sync_age_micros":0,"wal_bytes_since_checkpoint":0,"wal_appends":0,"wal_checkpoints":0,"frames_oversized":0,"recovery_replayed":3}"##,
+            ),
+        ];
+        for (got, want) in &cases {
+            assert_eq!(got, want);
+        }
     }
 }

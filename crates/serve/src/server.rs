@@ -35,14 +35,15 @@ use std::sync::{Arc, Condvar, Mutex, RwLock};
 use std::time::{Duration, Instant, SystemTime};
 
 use foc_core::{
-    repair_caches, AnswerValue, AnytimeConfig, ApproxConfig, Confidence, CostModel, DegradePolicy,
-    EngineKind, Error, Evaluator, PassReport,
+    repair_caches, AnswerValue, AnytimeConfig, ApproxConfig, Confidence, CostModel, EngineKind,
+    Error, Evaluator, PassReport,
 };
 use foc_covers::CoverStore;
 use foc_guard::{Budget, CancelToken, MemoryMeter, TraceContext, TripReason};
 use foc_locality::TermCache;
 use foc_logic::parse::{parse_formula, parse_term};
 use foc_logic::Predicates;
+use foc_obs::json::Value;
 use foc_obs::{
     names, pow2_buckets, quantile_detail, FlightRecorder, Gauge, Histogram, MemorySink, Metrics,
 };
@@ -627,46 +628,32 @@ impl Shared {
     /// shed rung.
     pub(crate) fn healthz(&self) -> (u16, &'static str, String) {
         let pressure = *self.pressure.lock().unwrap_or_else(|e| e.into_inner());
+        let draining = self.draining();
+        let (code, status) = if draining {
+            (503, "draining")
+        } else if self.wal_is_readonly() {
+            (503, "wal-readonly")
+        } else if pressure >= 4 {
+            (503, "shedding")
+        } else if pressure == 3 {
+            (200, "degraded")
+        } else {
+            (200, "ok")
+        };
+        let mut body = Value::object().with("status", status);
+        if !draining {
+            body = body.with("pressure", pressure);
+        }
         // WAL health rides every body when a WAL is configured: last
         // fsync age and the log bytes a recovery would have to replay.
-        let wal = match self.wal_health() {
-            Some((age, bytes)) => format!(
-                ",\"wal\":{{\"readonly\":{},\"last_sync_age_micros\":{age},\"log_bytes_since_checkpoint\":{bytes}}}",
-                self.wal_is_readonly()
-            ),
-            None => String::new(),
-        };
-        if self.draining() {
-            (
-                503,
-                "application/json",
-                format!("{{\"status\":\"draining\"{wal}}}"),
-            )
-        } else if self.wal_is_readonly() {
-            (
-                503,
-                "application/json",
-                format!("{{\"status\":\"wal-readonly\",\"pressure\":{pressure}{wal}}}"),
-            )
-        } else if pressure >= 4 {
-            (
-                503,
-                "application/json",
-                format!("{{\"status\":\"shedding\",\"pressure\":{pressure}{wal}}}"),
-            )
-        } else if pressure == 3 {
-            (
-                200,
-                "application/json",
-                format!("{{\"status\":\"degraded\",\"pressure\":{pressure}{wal}}}"),
-            )
-        } else {
-            (
-                200,
-                "application/json",
-                format!("{{\"status\":\"ok\",\"pressure\":{pressure}{wal}}}"),
-            )
+        if let Some((age, bytes)) = self.wal_health() {
+            let wal = Value::object()
+                .with("readonly", self.wal_is_readonly())
+                .with("last_sync_age_micros", age)
+                .with("log_bytes_since_checkpoint", bytes);
+            body = body.with("wal", wal);
         }
+        (code, "application/json", body.compact())
     }
 
     /// The `/stats` body: live serving state as one JSON object.
@@ -675,39 +662,89 @@ impl Shared {
             let st = self.gate.lock();
             (st.inflight, st.waiting, st.draining)
         };
-        let pressure = *self.pressure.lock().unwrap_or_else(|e| e.into_inner());
         let hits = self.cache.hits();
-        let misses = self.cache.misses();
-        let lookups = hits + misses;
-        let hit_rate = if lookups == 0 {
-            0.0
-        } else {
-            hits as f64 / lookups as f64
+        let lookups = (hits + self.cache.misses()).max(1);
+        let live = LiveStats {
+            uptime_micros: self.started.elapsed().as_micros(),
+            inflight,
+            queue_depth,
+            draining,
+            pressure: *self.pressure.lock().unwrap_or_else(|e| e.into_inner()),
+            epoch: self.snapshot().epoch(),
+            cache_entries: self.cache.len(),
+            cache_bytes: self.cache.resident_bytes(),
+            cache_hit_rate: hits as f64 / lookups as f64,
+            resident_bytes: self.meter.used(),
+            peak_resident_bytes: self
+                .peak_resident
+                .load(Ordering::Relaxed)
+                .max(self.meter.used()),
+            wal: self.wal_health(),
+            wal_readonly: self.wal_is_readonly(),
         };
-        let snap = self.metrics.snapshot();
-        let (wal_age, wal_bytes) = self.wal_health().unwrap_or((0, 0));
-        format!(
-            "{{\"uptime_micros\":{},\"inflight\":{inflight},\"queue_depth\":{queue_depth},\"draining\":{draining},\"pressure\":{pressure},\"epoch\":{},\"requests\":{},\"shed\":{},\"errors\":{},\"interrupted\":{},\"slow_queries\":{},\"traces_kept\":{},\"postmortems\":{},\"cache_entries\":{},\"cache_bytes\":{},\"cache_hit_rate\":{hit_rate:.4},\"resident_bytes\":{},\"peak_resident_bytes\":{},\"wal_enabled\":{},\"wal_readonly\":{},\"wal_last_sync_age_micros\":{wal_age},\"wal_bytes_since_checkpoint\":{wal_bytes},\"wal_appends\":{},\"wal_checkpoints\":{},\"frames_oversized\":{},\"recovery_replayed\":{}}}",
-            self.started.elapsed().as_micros(),
-            self.snapshot().epoch(),
-            snap.counter(names::SERVE_REQUESTS),
-            snap.counter(names::SERVE_SHED),
-            snap.counter(names::SERVE_ERRORS),
-            snap.counter(names::SERVE_INTERRUPTED),
-            snap.counter(names::SERVE_SLOW_QUERIES),
-            snap.counter(names::SERVE_TRACES_KEPT),
-            snap.counter(names::SERVE_POSTMORTEMS),
-            self.cache.len(),
-            self.cache.resident_bytes(),
-            self.meter.used(),
-            self.peak_resident.load(Ordering::Relaxed).max(self.meter.used()),
-            self.wal.is_some(),
-            self.wal_is_readonly(),
-            snap.counter(names::SERVE_WAL_APPENDS),
-            snap.counter(names::SERVE_WAL_CHECKPOINTS),
-            snap.counter(names::SERVE_FRAMES_OVERSIZED),
-            snap.counter(names::RECOVERY_REPLAYED),
-        )
+        live.to_json(&self.metrics.snapshot())
+    }
+}
+
+/// The live serving state behind one `/stats` body (the request
+/// counters come from the metrics snapshot).
+#[derive(Default)]
+pub(crate) struct LiveStats {
+    pub(crate) uptime_micros: u128,
+    pub(crate) inflight: usize,
+    pub(crate) queue_depth: usize,
+    pub(crate) draining: bool,
+    pub(crate) pressure: u8,
+    pub(crate) epoch: u64,
+    pub(crate) cache_entries: usize,
+    pub(crate) cache_bytes: u64,
+    pub(crate) cache_hit_rate: f64,
+    pub(crate) resident_bytes: u64,
+    pub(crate) peak_resident_bytes: u64,
+    /// Last-fsync age and log bytes since the checkpoint, with a WAL.
+    pub(crate) wal: Option<(u64, u64)>,
+    pub(crate) wal_readonly: bool,
+}
+
+impl LiveStats {
+    /// Renders the `/stats` body: the live fields interleaved with the
+    /// counters of `snap`, in the order `foc top` prints them.
+    pub(crate) fn to_json(&self, snap: &foc_obs::MetricsSnapshot) -> String {
+        let (wal_age, wal_bytes) = self.wal.unwrap_or((0, 0));
+        Value::object()
+            .with("uptime_micros", self.uptime_micros)
+            .with("inflight", self.inflight)
+            .with("queue_depth", self.queue_depth)
+            .with("draining", self.draining)
+            .with("pressure", self.pressure)
+            .with("epoch", self.epoch)
+            .with("requests", snap.counter(names::SERVE_REQUESTS))
+            .with("shed", snap.counter(names::SERVE_SHED))
+            .with("errors", snap.counter(names::SERVE_ERRORS))
+            .with("interrupted", snap.counter(names::SERVE_INTERRUPTED))
+            .with("slow_queries", snap.counter(names::SERVE_SLOW_QUERIES))
+            .with("traces_kept", snap.counter(names::SERVE_TRACES_KEPT))
+            .with("postmortems", snap.counter(names::SERVE_POSTMORTEMS))
+            .with("cache_entries", self.cache_entries)
+            .with("cache_bytes", self.cache_bytes)
+            .with("cache_hit_rate", Value::fixed(self.cache_hit_rate, 4))
+            .with("resident_bytes", self.resident_bytes)
+            .with("peak_resident_bytes", self.peak_resident_bytes)
+            .with("wal_enabled", self.wal.is_some())
+            .with("wal_readonly", self.wal_readonly)
+            .with("wal_last_sync_age_micros", wal_age)
+            .with("wal_bytes_since_checkpoint", wal_bytes)
+            .with("wal_appends", snap.counter(names::SERVE_WAL_APPENDS))
+            .with(
+                "wal_checkpoints",
+                snap.counter(names::SERVE_WAL_CHECKPOINTS),
+            )
+            .with(
+                "frames_oversized",
+                snap.counter(names::SERVE_FRAMES_OVERSIZED),
+            )
+            .with("recovery_replayed", snap.counter(names::RECOVERY_REPLAYED))
+            .compact()
     }
 }
 
@@ -1274,11 +1311,6 @@ fn evaluate_request(
     let mut builder = Evaluator::builder()
         .kind(req.engine.unwrap_or(cfg.engine))
         .threads(cfg.threads)
-        .degrade(if anytime {
-            DegradePolicy::Anytime
-        } else {
-            DegradePolicy::FallThrough
-        })
         .budget(budget)
         .fault_panic_element(cfg.fault_panic_element);
     if req.approx {
@@ -1613,12 +1645,6 @@ impl ServerHandle {
     /// `ServerConfig::trace_path` when configured.
     pub fn recent_traces(&self) -> Vec<String> {
         self.shared.traces.recent()
-    }
-
-    /// The flight recorder: the ring of recent span closures and
-    /// events behind postmortem dumps.
-    pub fn flight_recorder(&self) -> &FlightRecorder {
-        &self.shared.recorder
     }
 
     /// The server's metrics registry (`server.*`, plus the shared

@@ -27,7 +27,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use foc_guard::TraceContext;
-use foc_obs::report::json_escape;
+use foc_obs::json::Value;
 use foc_obs::sink::span_to_json;
 use foc_obs::FinishedSpan;
 
@@ -91,23 +91,17 @@ pub(crate) fn trace_line(
     sampled: &str,
     spans: &[FinishedSpan],
 ) -> String {
-    let mut out = format!(
-        "{{\"trace_id\":\"{}\",\"request_id\":\"{}\",\"mode\":\"{}\",\"query\":\"{}\",\"epoch\":{epoch},\"micros\":{micros},\"outcome\":\"{}\",\"sampled\":\"{}\",\"spans\":[",
-        json_escape(&tc.trace_id),
-        json_escape(&tc.request_id),
-        json_escape(mode),
-        json_escape(query),
-        json_escape(outcome),
-        json_escape(sampled),
-    );
-    for (i, s) in spans.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&span_to_json(s));
-    }
-    out.push_str("]}");
-    out
+    Value::object()
+        .with("trace_id", tc.trace_id.as_str())
+        .with("request_id", tc.request_id.as_str())
+        .with("mode", mode)
+        .with("query", query)
+        .with("epoch", epoch)
+        .with("micros", micros)
+        .with("outcome", outcome)
+        .with("sampled", sampled)
+        .with("spans", spans.iter().map(span_to_json).collect::<Value>())
+        .compact()
 }
 
 /// Where kept traces go: a bounded in-memory ring always, plus an
@@ -205,18 +199,15 @@ mod tests {
             &spans,
         );
         assert!(!line.contains('\n'));
-        let v = crate::json::parse(&line).unwrap();
+        let v = foc_obs::json::parse(&line).unwrap();
+        assert_eq!(v.get("trace_id").and_then(Value::as_str), Some("ab12-3"));
         assert_eq!(
-            v.get("trace_id").and_then(crate::json::Value::as_str),
-            Some("ab12-3")
-        );
-        assert_eq!(
-            v.get("outcome").and_then(crate::json::Value::as_str),
+            v.get("outcome").and_then(Value::as_str),
             Some("interrupted")
         );
-        assert_eq!(v.get("epoch").and_then(crate::json::Value::as_int), Some(7));
+        assert_eq!(v.get("epoch").and_then(Value::as_i64), Some(7));
         match v.get("spans") {
-            Some(crate::json::Value::Array(items)) => assert_eq!(items.len(), 1),
+            Some(Value::Array(items)) => assert_eq!(items.len(), 1),
             other => panic!("spans not an array: {other:?}"),
         }
     }
@@ -225,13 +216,13 @@ mod tests {
     fn trace_log_ring_is_bounded_and_file_appends() {
         let log = TraceLog::new(None).unwrap();
         for i in 0..(RECENT_TRACES + 10) {
-            log.emit(format!("{{\"i\":{i}}}"));
+            log.emit(Value::object().with("i", i).compact());
         }
         let recent = log.recent();
         assert_eq!(recent.len(), RECENT_TRACES);
         assert_eq!(
             recent.last().unwrap(),
-            &format!("{{\"i\":{}}}", RECENT_TRACES + 9)
+            &Value::object().with("i", RECENT_TRACES + 9).compact()
         );
 
         let dir = std::env::temp_dir().join(format!("foc-trace-log-{}", std::process::id()));
@@ -239,8 +230,8 @@ mod tests {
         let path = dir.join("traces.jsonl");
         {
             let log = TraceLog::new(Some(&path)).unwrap();
-            log.emit("{\"a\":1}".to_string());
-            log.emit("{\"a\":2}".to_string());
+            log.emit(Value::object().with("a", 1u64).compact());
+            log.emit(Value::object().with("a", 2u64).compact());
         }
         let text = std::fs::read_to_string(&path).unwrap();
         assert_eq!(text.lines().count(), 2);

@@ -515,6 +515,25 @@ fn bad_requests_get_structured_errors_and_the_connection_survives() {
     assert_eq!(report.interrupted, 0);
 }
 
+/// A line of 100,000 `[` — far deeper than any frame nests, well under
+/// the frame-size cap — is a structured `bad-request`, not a stack
+/// overflow on the connection thread: the same connection answers the
+/// next query correctly and the server drains cleanly.
+#[test]
+fn deeply_nested_lines_are_bad_requests_not_crashes() {
+    let handle = start(path(4), ServerConfig::default()).expect("start");
+    let mut c = Client::connect(handle.addr());
+    let f = c.roundtrip(&"[".repeat(100_000));
+    assert_eq!(field(&f, "type"), Some("error"), "frame: {f}");
+    assert_eq!(field(&f, "class"), Some("bad-request"), "frame: {f}");
+    let f = c.roundtrip(r#"{"id":"q","mode":"check","query":"exists x. exists y. E(x,y)"}"#);
+    assert_eq!(field(&f, "type"), Some("result"), "frame: {f}");
+    assert_eq!(field(&f, "value"), Some("true"), "frame: {f}");
+    drop(c);
+    let report = handle.drain();
+    assert_eq!(report.interrupted, 0);
+}
+
 /// Live updates (ISSUE 6): a writer streams batch mutations while
 /// concurrent readers query. Every reader response carries the epoch it
 /// evaluated under, and its value must equal a from-scratch rebuild of
