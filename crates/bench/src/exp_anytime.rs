@@ -22,7 +22,7 @@
 
 use std::time::Instant;
 
-use foc_core::{AnytimeConfig, Confidence, EngineKind, Error, Evaluator};
+use foc_core::{Confidence, EngineKind, Error, Evaluator};
 use foc_logic::build::{cnt, dist_le, not, v};
 use foc_obs::json::Value;
 use foc_structures::gen::grid;
@@ -98,13 +98,12 @@ pub fn e15(quick: bool) -> Vec<Table> {
 
     // The exact baseline: an unbounded anytime run collapses to one
     // exact pass.
-    let cfg = AnytimeConfig::default();
     let unbounded = Evaluator::builder()
         .kind(EngineKind::Cover)
         .build()
         .expect("the unbounded cover engine is a valid configuration");
     let exact = unbounded
-        .eval_ground_anytime(&a, &query, &cfg, None, None)
+        .eval_ground_anytime(&a, &query, None, None)
         .expect("unbounded run")
         .value;
     assert!(exact > 0, "the E15 query must have witnesses");
@@ -146,7 +145,7 @@ pub fn e15(quick: bool) -> Vec<Table> {
         }
         let ev = b.build().expect("budgeted cover engine");
         let t0 = Instant::now();
-        let cell = match ev.eval_ground_anytime(&a, &query, &cfg, None, None) {
+        let cell = match ev.eval_ground_anytime(&a, &query, None, None) {
             Ok(out) => {
                 let quality = (out.value as f64 / exact as f64).clamp(0.0, 1.0);
                 BudgetCell {

@@ -51,36 +51,20 @@ use foc_structures::Structure;
 use crate::engine::{EngineKind, Evaluator};
 use crate::error::{Error, Result};
 
-/// Tuning for the deepening driver.
-#[derive(Debug, Clone, Copy)]
-pub struct AnytimeConfig {
-    /// Fraction of the remaining budget the `sample` pass may spend.
-    pub sample_weight: f64,
-    /// Fraction of the remaining budget the `approx` pass may spend
-    /// (only present on ladders for ground counting terms).
-    pub approx_weight: f64,
-    /// Fraction of the remaining budget the `local` pass may spend
-    /// (only present on the cover ladder).
-    pub local_weight: f64,
-    /// Universe fraction for induced-prefix samples (sentences and
-    /// non-counting terms).
-    pub sample_fraction: f64,
-    /// Elements the chunked sample pass processes before its projection
-    /// may abort the pass.
-    pub min_chunk: u64,
-}
-
-impl Default for AnytimeConfig {
-    fn default() -> AnytimeConfig {
-        AnytimeConfig {
-            sample_weight: 0.3,
-            approx_weight: 0.2,
-            local_weight: 0.4,
-            sample_fraction: 0.25,
-            min_chunk: 4,
-        }
-    }
-}
+/// Fraction of the remaining budget the `sample` pass may spend.
+const SAMPLE_WEIGHT: f64 = 0.3;
+/// Fraction of the remaining budget the `approx` pass may spend (only
+/// present on ladders for ground counting terms).
+const APPROX_WEIGHT: f64 = 0.2;
+/// Fraction of the remaining budget the `local` pass may spend (only
+/// present on the cover ladder).
+const LOCAL_WEIGHT: f64 = 0.4;
+/// Universe fraction for induced-prefix samples (sentences and
+/// non-counting terms).
+const SAMPLE_FRACTION: f64 = 0.25;
+/// Elements the chunked sample pass processes before its projection may
+/// abort the pass.
+const MIN_CHUNK: u64 = 4;
 
 /// Which rung of the pass ladder a report describes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -284,11 +268,10 @@ impl Evaluator {
         &self,
         a: &Structure,
         f: &Arc<Formula>,
-        cfg: &AnytimeConfig,
         model: Option<&CostModel>,
         on_pass: Option<&mut dyn FnMut(&PassReport)>,
     ) -> Result<Anytime<bool>> {
-        let out = self.deepen(a, QueryRef::Sentence(f), cfg, model, on_pass)?;
+        let out = self.deepen(a, QueryRef::Sentence(f), model, on_pass)?;
         Ok(Anytime {
             value: match out.value {
                 AnswerValue::Bool(b) => b,
@@ -307,11 +290,10 @@ impl Evaluator {
         &self,
         a: &Structure,
         t: &Arc<Term>,
-        cfg: &AnytimeConfig,
         model: Option<&CostModel>,
         on_pass: Option<&mut dyn FnMut(&PassReport)>,
     ) -> Result<Anytime<i64>> {
-        let out = self.deepen(a, QueryRef::Ground(t), cfg, model, on_pass)?;
+        let out = self.deepen(a, QueryRef::Ground(t), model, on_pass)?;
         Ok(Anytime {
             value: match out.value {
                 AnswerValue::Int(v) => v,
@@ -329,7 +311,6 @@ impl Evaluator {
         &self,
         a: &Structure,
         q: QueryRef<'_>,
-        cfg: &AnytimeConfig,
         model: Option<&CostModel>,
         mut on_pass: Option<&mut dyn FnMut(&PassReport)>,
     ) -> Result<Anytime<AnswerValue>> {
@@ -402,9 +383,9 @@ impl Evaluator {
         for (i, &(pk, ek)) in ladder.iter().enumerate() {
             let is_final = i + 1 == ladder.len();
             let weight = match pk {
-                PassKind::Sample => cfg.sample_weight,
-                PassKind::Approx => cfg.approx_weight,
-                PassKind::Local => cfg.local_weight,
+                PassKind::Sample => SAMPLE_WEIGHT,
+                PassKind::Approx => APPROX_WEIGHT,
+                PassKind::Local => LOCAL_WEIGHT,
                 PassKind::Exact => 1.0,
             };
             // A final pass with nothing banked yet runs regardless of
@@ -439,7 +420,7 @@ impl Evaluator {
             };
             let t0 = Instant::now();
             let run = match pk {
-                PassKind::Sample => self.sample_pass(a, q, &plan, cfg),
+                PassKind::Sample => self.sample_pass(a, q, &plan),
                 PassKind::Approx => self.approx_pass(a, q, &plan, model),
                 PassKind::Local | PassKind::Exact => self.full_pass(a, q, ek, Some(&plan)),
             };
@@ -594,13 +575,7 @@ impl Evaluator {
 
     /// The `sample` pass: reference semantics on a sample of the work,
     /// guarded by the pass slice.
-    fn sample_pass(
-        &self,
-        a: &Structure,
-        q: QueryRef<'_>,
-        plan: &PassPlan,
-        cfg: &AnytimeConfig,
-    ) -> PassRun {
+    fn sample_pass(&self, a: &Structure, q: QueryRef<'_>, plan: &PassPlan) -> PassRun {
         let n = u64::from(a.order());
         if n == 0 {
             // Nothing to sample; the full passes handle the degenerate
@@ -616,11 +591,11 @@ impl Evaluator {
         if let QueryRef::Ground(t) = q {
             if let Term::Count(vars, body) = &**t {
                 if !vars.is_empty() {
-                    return self.sample_count(a, vars, body, plan, cfg);
+                    return self.sample_count(a, vars, body, plan);
                 }
             }
         }
-        self.sample_induced(a, q, plan, cfg)
+        self.sample_induced(a, q, plan)
     }
 
     /// The `approx` pass: the `(ε, δ)` sampling estimator over the
@@ -691,7 +666,6 @@ impl Evaluator {
         vars: &[foc_logic::Var],
         body: &Arc<Formula>,
         plan: &PassPlan,
-        cfg: &AnytimeConfig,
     ) -> PassRun {
         let n = u64::from(a.order());
         let mut budget = self.budget().clone();
@@ -718,7 +692,7 @@ impl Evaluator {
             // chunking and bank what we have (wall-clock slices only —
             // fuel-only budgets stay deterministic).
             if let Some(slice) = plan.deadline {
-                if done >= cfg.min_chunk {
+                if done >= MIN_CHUNK {
                     let projected = t0.elapsed().mul_f64(n as f64 / done as f64);
                     if projected > slice.saturating_mul(2) {
                         status = PassStatus::Aborted;
@@ -765,15 +739,9 @@ impl Evaluator {
     /// Induced-prefix sampling for sentences and non-counting terms:
     /// evaluate on `A[{0,…,k−1}]` and tag the verdict with how much of
     /// the universe the prefix covered.
-    fn sample_induced(
-        &self,
-        a: &Structure,
-        q: QueryRef<'_>,
-        plan: &PassPlan,
-        cfg: &AnytimeConfig,
-    ) -> PassRun {
+    fn sample_induced(&self, a: &Structure, q: QueryRef<'_>, plan: &PassPlan) -> PassRun {
         let n = u64::from(a.order());
-        let k = (((n as f64) * cfg.sample_fraction).ceil() as u64).clamp(1, n);
+        let k = (((n as f64) * SAMPLE_FRACTION).ceil() as u64).clamp(1, n);
         let elems: Vec<u32> = (0..k as u32).collect();
         let ind = a.induced(&elems);
         let mut budget = self.budget().clone();
@@ -857,9 +825,7 @@ mod tests {
             .build()
             .unwrap();
         let exact = ev.eval_ground(&a, &t).unwrap();
-        let out = ev
-            .eval_ground_anytime(&a, &t, &AnytimeConfig::default(), None, None)
-            .unwrap();
+        let out = ev.eval_ground_anytime(&a, &t, None, None).unwrap();
         assert_eq!(out.value, exact);
         assert!(out.confidence.is_exact());
         assert!(out.interrupt.is_none());
@@ -880,9 +846,7 @@ mod tests {
             .unwrap()
             .eval_ground(&a, &t)
             .unwrap();
-        let out = ev
-            .eval_ground_anytime(&a, &t, &AnytimeConfig::default(), None, None)
-            .unwrap();
+        let out = ev.eval_ground_anytime(&a, &t, None, None).unwrap();
         assert_eq!(out.value, exact);
         assert!(out.confidence.is_exact(), "got {:?}", out.confidence);
     }
@@ -907,9 +871,7 @@ mod tests {
         // Anytime evaluation banks a guaranteed answer instead: either
         // a sound lower bound or an ε-bounded estimate, depending on
         // which rung the fuel stretched to.
-        let out = ev
-            .eval_ground_anytime(&a, &t, &AnytimeConfig::default(), None, None)
-            .unwrap();
+        let out = ev.eval_ground_anytime(&a, &t, None, None).unwrap();
         assert!(!out.confidence.is_exact());
         match out.confidence {
             Confidence::LowerBound => {
@@ -942,8 +904,7 @@ mod tests {
                 .fuel(1_500)
                 .build()
                 .unwrap();
-            ev.eval_ground_anytime(&a, &t, &AnytimeConfig::default(), None, None)
-                .unwrap()
+            ev.eval_ground_anytime(&a, &t, None, None).unwrap()
         };
         let o1 = run();
         let o2 = run();
@@ -962,9 +923,7 @@ mod tests {
             .fuel(2_000)
             .build()
             .unwrap();
-        let out = ev
-            .check_sentence_anytime(&a, &f, &AnytimeConfig::default(), None, None)
-            .unwrap();
+        let out = ev.check_sentence_anytime(&a, &f, None, None).unwrap();
         // The sample pass decided on a prefix; either it reached exact
         // via a full pass or stayed partial, but the verdict must be the
         // true one here (a path has edges everywhere).
@@ -1002,9 +961,7 @@ mod tests {
             .fuel(60_000)
             .build()
             .unwrap();
-        let out = ev
-            .eval_ground_anytime(&a, &t, &AnytimeConfig::default(), None, None)
-            .unwrap();
+        let out = ev.eval_ground_anytime(&a, &t, None, None).unwrap();
         if let Confidence::Approximate { error_bound } = out.confidence {
             assert!(error_bound > 0);
             assert!(
@@ -1050,8 +1007,7 @@ mod tests {
             .unwrap();
         let mut seen: Vec<&'static str> = Vec::new();
         let mut cb = |r: &PassReport| seen.push(r.pass.name());
-        ev.eval_ground_anytime(&a, &t, &AnytimeConfig::default(), None, Some(&mut cb))
-            .unwrap();
+        ev.eval_ground_anytime(&a, &t, None, Some(&mut cb)).unwrap();
         assert!(!seen.is_empty());
         let order = ["sample", "approx", "local", "exact"];
         let mut last = 0;

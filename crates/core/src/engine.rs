@@ -792,34 +792,56 @@ impl<'a> Session<'a> {
         }
     }
 
-    /// Single-head-variable query evaluation with vectorised terms.
+    /// Query evaluation for heads of at most one variable, with
+    /// vectorised terms.
     fn query_small(&mut self, q: &Query) -> Result<QueryResult> {
-        let r = self.query_small_inner(q);
+        if !q.head_vars.is_empty() {
+            let (satisfying, term_values) = self.select_unary(q)?;
+            let rows = satisfying
+                .into_iter()
+                .map(|e| {
+                    Ok(QueryRow {
+                        elems: vec![e],
+                        counts: term_values
+                            .iter()
+                            .map(|v| v.at(e))
+                            .collect::<Result<Vec<_>>>()?,
+                    })
+                })
+                .collect::<Result<Vec<_>>>()?;
+            return Ok(QueryResult { rows });
+        }
+        foc_eval::validate::validate_query(q, self.a.signature(), &self.ev.preds)?;
+        if !self.check_sentence(&q.body)? {
+            return Ok(QueryResult::default());
+        }
+        let counts = q
+            .head_terms
+            .iter()
+            .map(|t| self.eval_ground(t))
+            .collect::<Result<Vec<_>>>()?;
+        Ok(QueryResult {
+            rows: vec![QueryRow {
+                elems: vec![],
+                counts,
+            }],
+        })
+    }
+
+    /// The pipeline of a query `{(x, t₁(x), …, t_ℓ(x)) : φ(x)}` with one
+    /// head variable: the elements satisfying `φ`, in element order, and
+    /// the head terms as per-element vectors. [`Evaluator::query`] builds
+    /// rows from it; [`Evaluator::enumerate_query`] streams them.
+    pub(crate) fn select_unary(&mut self, q: &Query) -> Result<(Vec<u32>, Vec<Value>)> {
+        let r = self.select_unary_inner(q);
         self.note_interrupt(r)
     }
 
-    fn query_small_inner(&mut self, q: &Query) -> Result<QueryResult> {
+    fn select_unary_inner(&mut self, q: &Query) -> Result<(Vec<u32>, Vec<Value>)> {
         foc_eval::validate::validate_query(q, self.a.signature(), &self.ev.preds)?;
-        if q.head_vars.is_empty() {
-            if !self.check_sentence(&q.body)? {
-                return Ok(QueryResult::default());
-            }
-            let counts = q
-                .head_terms
-                .iter()
-                .map(|t| self.eval_ground(t))
-                .collect::<Result<Vec<_>>>()?;
-            return Ok(QueryResult {
-                rows: vec![QueryRow {
-                    elems: vec![],
-                    counts,
-                }],
-            });
-        }
         let x = q.head_vars[0];
         check_foc1(&q.body).map_err(|v| Error::NotFoc1(v.to_string()))?;
         let body_fo = self.materialize_formula(&q.body)?;
-        // Head terms as per-element vectors.
         let mut term_values = Vec::with_capacity(q.head_terms.len());
         for t in &q.head_terms {
             check_foc1_term(t).map_err(|v| Error::NotFoc1(v.to_string()))?;
@@ -828,22 +850,17 @@ impl<'a> Session<'a> {
         }
         // Body truth per element (the body is FO over the expanded
         // structure now; candidate-driven evaluation keeps this cheap).
-        self.with_naive(|ev| {
-            let mut rows = Vec::new();
+        let satisfying = self.with_naive(|ev| {
+            let mut out = Vec::new();
             for e in self.a.universe() {
                 let mut env = Assignment::from_pairs([(x, e)]);
                 if ev.check(&body_fo, &mut env)? {
-                    rows.push(QueryRow {
-                        elems: vec![e],
-                        counts: term_values
-                            .iter()
-                            .map(|v| v.at(e))
-                            .collect::<Result<Vec<_>>>()?,
-                    });
+                    out.push(e);
                 }
             }
-            Ok(QueryResult { rows })
-        })
+            Ok::<_, Error>(out)
+        })?;
+        Ok((satisfying, term_values))
     }
 
     /// Theorem 6.10, evaluation-driven: replaces every predicate
@@ -1148,28 +1165,6 @@ impl<'a> Session<'a> {
         Ok(current)
     }
 
-    /// Pre-processing entry points used by the constant-delay
-    /// enumeration (crate-internal).
-    pub(crate) fn materialize_for_enumeration(&mut self, f: &Arc<Formula>) -> Result<Arc<Formula>> {
-        check_foc1(f).map_err(|v| Error::NotFoc1(v.to_string()))?;
-        self.materialize_formula(f)
-    }
-
-    /// Term counterpart of [`Session::materialize_for_enumeration`].
-    pub(crate) fn materialize_term_for_enumeration(&mut self, t: &Arc<Term>) -> Result<Arc<Term>> {
-        check_foc1_term(t).map_err(|v| Error::NotFoc1(v.to_string()))?;
-        self.materialize_term(t)
-    }
-
-    /// Evaluates an FO term as a per-element vector (crate-internal).
-    pub(crate) fn eval_term_vector(
-        &mut self,
-        t: &Arc<Term>,
-        x: Var,
-    ) -> Result<crate::value::Value> {
-        self.eval_fo_term(t, Some(x))
-    }
-
     /// Dispatches basic-cl-term evaluation to the configured strategy,
     /// wiring in the session cache, the thread budget, and the observer
     /// (sub-evaluator spans nest under this call's `eval` span; their
@@ -1184,25 +1179,9 @@ impl<'a> Session<'a> {
         let handle = span.handle();
         let t0 = Instant::now();
         let out = match self.ev.config.kind {
-            EngineKind::Naive => {
-                // Reference-semantics evaluation of a decomposed term —
-                // only reached from the enumeration preprocessing (the
-                // main naive paths never decompose).
-                let has_unary = cl.basics().iter().any(|b| b.unary);
-                if has_unary {
-                    let mut out = Vec::with_capacity(self.a.order() as usize);
-                    for e in self.a.universe() {
-                        out.push(cl.eval_naive(&self.a, &self.ev.preds, Some(e))?);
-                    }
-                    Ok(ClValue::Vector(out))
-                } else {
-                    Ok(ClValue::Scalar(cl.eval_naive(
-                        &self.a,
-                        &self.ev.preds,
-                        None,
-                    )?))
-                }
-            }
+            // Only reached from the enumeration preprocessing (the main
+            // naive paths never decompose).
+            EngineKind::Naive => self.eval_clterm_reference(cl),
             EngineKind::Local => {
                 let mut lev = self.local_evaluator(handle.clone());
                 Ok(lev.eval_clterm(cl)?)
@@ -1291,8 +1270,8 @@ impl<'a> Session<'a> {
         }
     }
 
-    /// Reference-semantics evaluation of a decomposed cl-term (the final
-    /// rung of the ladder).
+    /// Reference-semantics evaluation of a decomposed cl-term: the naive
+    /// engine's path and the final rung of the ladder.
     fn eval_clterm_reference(&mut self, cl: &ClTerm) -> Result<ClValue> {
         let has_unary = cl.basics().iter().any(|b| b.unary);
         if has_unary {

@@ -16,7 +16,7 @@
 //! the index of satisfying elements; the enumeration phase then emits one
 //! row per index entry — `O(ℓ)` work per row, independent of `|A|`.
 
-use foc_eval::{Assignment, NaiveEvaluator, QueryRow};
+use foc_eval::QueryRow;
 use foc_logic::Query;
 use foc_structures::Structure;
 
@@ -81,25 +81,7 @@ impl Evaluator {
             ));
         }
         let t0 = std::time::Instant::now();
-        let x = q.head_vars[0];
-        let mut session = self.session(a);
-        foc_eval::validate::validate_query(q, a.signature(), &self.preds)?;
-        let body_fo = session.materialize_for_enumeration(&q.body)?;
-        let mut term_values = Vec::with_capacity(q.head_terms.len());
-        for t in &q.head_terms {
-            let fo = session.materialize_term_for_enumeration(t)?;
-            term_values.push(session.eval_term_vector(&fo, x)?);
-        }
-        // The body over the expanded structure is FO with materialised
-        // guards; build the index of satisfying elements.
-        let mut ev = NaiveEvaluator::new(session.structure(), &self.preds);
-        let mut satisfying = Vec::new();
-        for e in session.structure().universe() {
-            let mut env = Assignment::from_pairs([(x, e)]);
-            if ev.check(&body_fo, &mut env)? {
-                satisfying.push(e);
-            }
-        }
+        let (satisfying, term_values) = self.session(a).select_unary(q)?;
         Ok(QueryEnumerator {
             satisfying,
             term_values,
@@ -195,6 +177,32 @@ mod tests {
             ev.enumerate_query(&s, &q),
             Err(Error::Unsupported(_))
         ));
+    }
+
+    #[test]
+    fn fuel_budget_trips_in_the_body_loop() {
+        // No head terms and no counting in the body: the only work is
+        // checking the quantified body at every element, which must run
+        // under the session's budget.
+        let (x, y, z) = (v("fbx"), v("fby"), v("fbz"));
+        let body = exists(
+            y,
+            exists(
+                z,
+                and_all([atom("E", [x, y]), atom("E", [y, z]), not(eq(x, z))]),
+            ),
+        );
+        let q = Query::new(vec![x], vec![], body).unwrap();
+        let s = grid(12, 12);
+        for kind in [EngineKind::Naive, EngineKind::Local, EngineKind::Cover] {
+            let unlimited = Evaluator::builder().kind(kind).build().unwrap();
+            assert_eq!(unlimited.enumerate_query(&s, &q).unwrap().len(), 144);
+            let starved = Evaluator::builder().kind(kind).fuel(50).build().unwrap();
+            assert!(
+                matches!(starved.enumerate_query(&s, &q), Err(Error::Interrupted(_))),
+                "{kind:?}"
+            );
+        }
     }
 
     #[test]

@@ -41,9 +41,7 @@ pub mod sql;
 pub mod value;
 
 pub use aggregate::{AvgResult, SumAggregate, Weights};
-pub use anytime::{
-    AnswerValue, Anytime, AnytimeConfig, CostModel, PassKind, PassReport, PassStatus,
-};
+pub use anytime::{AnswerValue, Anytime, CostModel, PassKind, PassReport, PassStatus};
 pub use approx::{sample_size, ApproxConfig, ApproxValue};
 pub use engine::{
     DegradePolicy, EngineConfig, EngineKind, EngineStats, Evaluator, EvaluatorBuilder, MarkerDef,

@@ -24,16 +24,18 @@
 //! ## Parallelism and memoisation
 //!
 //! The clusters of step 2 are *independent*: each produces values only
-//! for its own assigned elements, so the per-cluster loop fans out over
-//! [`CoverConfig::threads`] workers ([`foc_parallel::par_map`]) with
-//! results written back under their element ids — **bit-identical to the
-//! sequential loop** for every thread count. Only the outermost cover
-//! parallelises; the removal recursion inside a cluster stays sequential
-//! so the worker count is bounded by the configuration, not by the
-//! recursion tree. All mutable evaluator state is shareable: work
-//! counters are atomics, the removal-plan cache and the optional
-//! [`TermCache`] (content-keyed memo of basic-term values, shared with
-//! the engine session and across the recursion) sit behind locks.
+//! for its own assigned elements, so the per-cluster loop is one
+//! [`foc_parallel::par_map_isolated`] call over [`CoverConfig::threads`]
+//! workers, with results written back under their element ids —
+//! **bit-identical for every thread count**, and a panicking cluster
+//! surfaces as a structured fault at `threads = 1` too. Only the
+//! outermost cover parallelises; the removal recursion inside a cluster
+//! runs the same loop on one thread, so the worker count is bounded by
+//! the configuration, not by the recursion tree. All mutable evaluator
+//! state is shareable: work counters are atomics, the removal-plan cache
+//! and the optional [`TermCache`] (content-keyed memo of basic-term
+//! values, shared with the engine session and across the recursion) sit
+//! behind locks.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -350,11 +352,7 @@ impl<'a> CoverEvaluator<'a> {
         // Parallelise only at the outermost structure: recursive calls on
         // clusters and surgered substructures already run inside a worker.
         let top = std::ptr::eq(s, self.a);
-        let threads = if top {
-            foc_parallel::resolve_threads(self.config.threads)
-        } else {
-            1
-        };
+        let threads = if top { self.config.threads } else { 1 };
         let radius = LocalEvaluator::exploration_radius(b);
         let radius = u32::try_from(radius.min(u64::from(u32::MAX / 4))).unwrap_or(u32::MAX / 4);
         if depth == 0 || s.order() <= self.config.direct_threshold {
@@ -400,12 +398,26 @@ impl<'a> CoverEvaluator<'a> {
         }
         let members = cover.members();
 
-        // One work item per assigned cluster; each yields (element, value)
-        // pairs for its own elements only, so writing them back in any
+        // Compute the removal plan up front so workers find it in the
+        // cache instead of racing to build it.
+        if cover.clusters.iter().any(|c| {
+            c.len() > self.config.direct_threshold as usize
+                && c.len() <= self.config.max_removal_cluster as usize
+                && c.len() < s.order() as usize
+        }) {
+            self.removal_plan(b);
+        }
+        // One work item per cluster; each yields (element, value) pairs
+        // for its own assigned elements only, so writing them back in any
         // order reproduces the sequential result exactly. `lev` is the
         // worker's ball evaluator over `s`, built on first use.
-        let eval_one =
-            |lev: &mut Option<LocalEvaluator<'s>>, idx: usize| -> Result<Vec<(u32, i64)>> {
+        let idxs: Vec<usize> = (0..cover.clusters.len()).collect();
+        let per_cluster = foc_parallel::par_map_isolated(
+            &idxs,
+            threads,
+            self.obs.as_ref().map(|o| &o.meter),
+            || None,
+            |lev, _, &idx| {
                 let pairs =
                     self.eval_one_cluster(b, s, depth, &cover, &members, &cover_handle, idx, lev)?;
                 if top {
@@ -414,53 +426,9 @@ impl<'a> CoverEvaluator<'a> {
                     self.stats.clusters_done.fetch_add(1, Ordering::Relaxed);
                 }
                 Ok(pairs)
-            };
-
-        let idxs: Vec<usize> = (0..cover.clusters.len()).collect();
-        let per_cluster: Result<Vec<Vec<(u32, i64)>>> = if threads <= 1 {
-            // Catch panics here too, so `threads = 1` gives the same
-            // structured fault as the parallel path.
-            let run = || {
-                let mut acc = Vec::with_capacity(idxs.len());
-                let mut lev = None;
-                for &i in &idxs {
-                    let pairs = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        eval_one(&mut lev, i)
-                    }))
-                    .map_err(|p| {
-                        foc_locality::LocalityError::WorkerPanicked {
-                            payload: foc_parallel::panic_message(p.as_ref()),
-                            item_index: i,
-                        }
-                    })??;
-                    acc.push(pairs);
-                }
-                Ok(acc)
-            };
-            run()
-        } else {
-            // Compute the removal plan up front so workers find it in the
-            // cache instead of racing to build it.
-            if cover.clusters.iter().any(|c| {
-                c.len() > self.config.direct_threshold as usize
-                    && c.len() <= self.config.max_removal_cluster as usize
-                    && c.len() < s.order() as usize
-            }) {
-                self.removal_plan(b);
-            }
-            let meter = self.obs.as_ref().map(|o| &o.meter);
-            foc_parallel::par_map_isolated(
-                &idxs,
-                threads,
-                meter,
-                || None,
-                |lev, _, &i| eval_one(lev, i),
-            )
-            .map_err(|fault| match fault {
-                foc_parallel::Fault::Error(e) => e,
-                foc_parallel::Fault::Panic(p) => p.into(),
-            })
-        };
+            },
+        )
+        .map_err(foc_locality::LocalityError::from);
         // A budget trip inside the per-cluster stage reports wherever the
         // crossing worker happened to be (cover recursion, ball
         // enumeration inside a cluster) — under threads > 1 that micro-
@@ -527,11 +495,8 @@ impl<'a> CoverEvaluator<'a> {
             if let Some(h) = &cluster_handle {
                 lev.set_observer(h.clone());
             }
-            let mut pairs = Vec::with_capacity(q.len());
-            for &a in q {
-                pairs.push((a, lev.eval_basic_at(b, a)?));
-            }
-            return Ok(pairs);
+            let vals = lev.eval_basic_on(b, q)?;
+            return Ok(q.iter().copied().zip(vals).collect());
         }
         let ind = s.induced(cluster);
         let vals = self.eval_cluster(b, &ind.structure, depth, cluster_handle.as_ref())?;
@@ -697,55 +662,25 @@ impl<'a> CoverEvaluator<'a> {
         depth: u32,
         parent: Option<&SpanHandle>,
     ) -> Result<Vec<i64>> {
-        match (cl, free) {
-            (Some(cl), _) => self.eval_clterm_vector(cl, s, depth, parent),
-            (None, Some(x)) if rc.counted.is_empty() => {
-                // Width-1: check the body per element.
-                let mut ev = NaiveEvaluator::new(s, self.preds);
-                ev.set_guard(self.guard.clone());
-                let mut out = Vec::with_capacity(s.order() as usize);
-                for a in s.universe() {
-                    let mut env = Assignment::from_pairs([(x, a)]);
-                    out.push(i64::from(ev.check(&rc.body, &mut env)?));
-                }
-                Ok(out)
-            }
-            (None, free) => {
-                // Outside the fragment after rewriting: reference
-                // evaluator (correct, not cover-accelerated).
-                self.stats.naive_fallbacks.fetch_add(1, Ordering::Relaxed);
-                match free {
-                    Some(x) => {
-                        let term = Arc::new(Term::Count(
-                            rc.counted.clone().into_boxed_slice(),
-                            rc.body.clone(),
-                        ));
-                        let mut ev = NaiveEvaluator::new(s, self.preds);
-                        ev.set_guard(self.guard.clone());
-                        let mut out = Vec::with_capacity(s.order() as usize);
-                        for a in s.universe() {
-                            let mut env = Assignment::from_pairs([(x, a)]);
-                            out.push(ev.eval_term(&term, &mut env)?);
-                        }
-                        Ok(out)
-                    }
-                    None => {
-                        // Ground: index by the first counted variable.
-                        let x0 = rc.counted[0];
-                        let rest: Vec<Var> = rc.counted[1..].to_vec();
-                        let term = Arc::new(Term::Count(rest.into_boxed_slice(), rc.body.clone()));
-                        let mut ev = NaiveEvaluator::new(s, self.preds);
-                        ev.set_guard(self.guard.clone());
-                        let mut out = Vec::with_capacity(s.order() as usize);
-                        for a in s.universe() {
-                            let mut env = Assignment::from_pairs([(x0, a)]);
-                            out.push(ev.eval_term(&term, &mut env)?);
-                        }
-                        Ok(out)
-                    }
-                }
-            }
+        if let Some(cl) = cl {
+            return self.eval_clterm_vector(cl, s, depth, parent);
         }
+        let (x, rest) = match free {
+            // A width-1 body is checked per element; anything wider left
+            // the fragment after rewriting and is counted by the
+            // reference evaluator (correct, not cover-accelerated).
+            Some(x) => (x, &rc.counted[..]),
+            None => (rc.counted[0], &rc.counted[1..]),
+        };
+        if !rest.is_empty() || free.is_none() {
+            self.stats.naive_fallbacks.fetch_add(1, Ordering::Relaxed);
+        }
+        let term = Arc::new(Term::Count(rest.into(), rc.body.clone()));
+        let mut ev = NaiveEvaluator::new(s, self.preds);
+        ev.set_guard(self.guard.clone());
+        s.universe()
+            .map(|a| Ok(ev.eval_term(&term, &mut Assignment::from_pairs([(x, a)]))?))
+            .collect()
     }
 
     /// Evaluates a decomposed cl-term to a per-element vector on `s`,

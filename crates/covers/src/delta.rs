@@ -4,7 +4,7 @@
 //! element; a single edge change perturbs only the clusters and
 //! assignments whose balls reach the touched elements. The least-centre
 //! rule is correct for *any* fixed vertex order (the degeneracy order
-//! only tunes the cover degree), so [`MaintainedCover`] freezes the
+//! only tunes the cover degree), so a maintained cover freezes the
 //! order chosen at construction and, on refresh, recomputes
 //!
 //! * cluster contents `N_2r[c]` for centres within distance `2r` of a

@@ -135,20 +135,15 @@ pub fn run_anytime_battery(case: &Case) -> (Outcome, Vec<Divergence>) {
 /// One anytime evaluation, folded into the comparable outcome taxonomy
 /// plus the confidence tag the driver attached (absent on errors).
 fn anytime_outcome(ev: &Evaluator, case: &Case) -> (Outcome, Option<Confidence>) {
-    let cfg = foc_core::AnytimeConfig::default();
     match &case.query {
-        QueryCase::Sentence(f) => {
-            match ev.check_sentence_anytime(&case.structure, f, &cfg, None, None) {
-                Ok(out) => (Outcome::Bool(out.value), Some(out.confidence)),
-                Err(e) => (Outcome::Err(classify(&e)), None),
-            }
-        }
-        QueryCase::Ground(t) => {
-            match ev.eval_ground_anytime(&case.structure, t, &cfg, None, None) {
-                Ok(out) => (Outcome::Int(out.value), Some(out.confidence)),
-                Err(e) => (Outcome::Err(classify(&e)), None),
-            }
-        }
+        QueryCase::Sentence(f) => match ev.check_sentence_anytime(&case.structure, f, None, None) {
+            Ok(out) => (Outcome::Bool(out.value), Some(out.confidence)),
+            Err(e) => (Outcome::Err(classify(&e)), None),
+        },
+        QueryCase::Ground(t) => match ev.eval_ground_anytime(&case.structure, t, None, None) {
+            Ok(out) => (Outcome::Int(out.value), Some(out.confidence)),
+            Err(e) => (Outcome::Err(classify(&e)), None),
+        },
     }
 }
 

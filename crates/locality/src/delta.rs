@@ -93,8 +93,8 @@ fn patch_vector(
     dirty: &[u32],
 ) -> Result<Vec<i64>> {
     let mut out = vals.to_vec();
-    for &a in dirty {
-        out[a as usize] = lev.eval_basic_at(term, a)?;
+    for (&a, v) in dirty.iter().zip(lev.eval_basic_on(term, dirty)?) {
+        out[a as usize] = v;
     }
     Ok(out)
 }

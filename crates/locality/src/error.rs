@@ -109,11 +109,14 @@ impl From<foc_guard::Interrupt> for LocalityError {
     }
 }
 
-impl From<foc_parallel::WorkerPanic> for LocalityError {
-    fn from(p: foc_parallel::WorkerPanic) -> Self {
-        LocalityError::WorkerPanicked {
-            payload: p.payload,
-            item_index: p.item_index,
+impl From<foc_parallel::Fault<LocalityError>> for LocalityError {
+    fn from(f: foc_parallel::Fault<LocalityError>) -> Self {
+        match f {
+            foc_parallel::Fault::Error(e) => e,
+            foc_parallel::Fault::Panic(p) => LocalityError::WorkerPanicked {
+                payload: p.payload,
+                item_index: p.item_index,
+            },
         }
     }
 }

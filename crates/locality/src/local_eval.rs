@@ -23,7 +23,7 @@
 //! almost-linear behaviour; on dense structures the balls, and hence the
 //! cost, degenerate — exactly the dichotomy the theory predicts.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use foc_eval::{
     Assignment, EvalError, EvalStats, GuardContext, GuardPlanner, NaiveEvaluator, Validated,
@@ -103,7 +103,8 @@ impl From<Partial> for ClValue {
 }
 
 /// What the enumeration for one basic cl-term needs, worked out once per
-/// term rather than once per element.
+/// call rather than once per anchor, plus the evaluator settings every
+/// worker of the call shares.
 struct Plan<'t> {
     b: &'t BasicClTerm,
     /// The body, validated once. An invalid body is reported at the first
@@ -113,6 +114,11 @@ struct Plan<'t> {
     order: Vec<usize>,
     /// The δ bound `2r+1`.
     bound: u32,
+    /// See [`LocalEvaluator::use_atom_candidates`].
+    atom_candidates: bool,
+    obs: Option<&'t LocalObs>,
+    guard: &'t Guard,
+    fault_panic_element: Option<u32>,
 }
 
 /// One assigned position of the tuple under construction.
@@ -134,11 +140,11 @@ struct Depth {
     cands: Vec<u32>,
 }
 
-/// Evaluates basic cl-terms by neighbourhood exploration.
-pub struct LocalEvaluator<'a> {
+/// The mutable state of the per-anchor enumeration: one per worker,
+/// reused across anchors and terms.
+struct Walker<'a> {
     a: &'a Structure,
-    preds: &'a Predicates,
-    /// Checks complete tuples against the body; kept for the evaluator's
+    /// Checks complete tuples against the body; kept for the walker's
     /// lifetime, so its `dist` memo carries over from tuple to tuple.
     ev: NaiveEvaluator<'a>,
     /// Picks the candidates of each depth and the support of `y₁`.
@@ -148,9 +154,19 @@ pub struct LocalEvaluator<'a> {
     env: Assignment,
     /// The assigned positions, in depth order.
     path: Vec<Placed>,
-    /// Per-depth layer and candidate buffers, reused across elements and
-    /// terms.
+    /// Per-depth layer and candidate buffers.
     depths: Vec<Depth>,
+    /// Work counters since the owner last folded them.
+    stats: LocalStats,
+}
+
+/// Evaluates basic cl-terms by neighbourhood exploration.
+pub struct LocalEvaluator<'a> {
+    a: &'a Structure,
+    preds: &'a Predicates,
+    /// This evaluator's enumeration buffers; the first worker of every
+    /// fan-out borrows them.
+    walker: Walker<'a>,
     /// Derive tuple candidates from guard atoms (relational-index
     /// lookups) and positive `dist` conjuncts in addition to δ-balls.
     /// Ablation toggle for E11.
@@ -158,10 +174,10 @@ pub struct LocalEvaluator<'a> {
     /// Skip elements outside the guard-atom support of `y₁`. Ablation
     /// toggle for E11.
     pub use_support: bool,
-    /// Worker threads for [`LocalEvaluator::eval_basic_all`]: `1` is the
-    /// sequential loop, `0` means "one per hardware thread". The parallel
-    /// path is bit-identical to the sequential one (elements are
-    /// independent; results are written back in element order).
+    /// Worker threads for [`LocalEvaluator::eval_basic_on`]: `1` is the
+    /// sequential loop, `0` means "one per hardware thread". Results are
+    /// identical at every thread count (anchors are independent; values
+    /// are written back in anchor order).
     pub threads: usize,
     /// Optional shared memo of basic-term values (see [`TermCache`]).
     cache: Option<Arc<TermCache>>,
@@ -181,20 +197,17 @@ pub struct LocalEvaluator<'a> {
 impl<'a> LocalEvaluator<'a> {
     /// Creates a local evaluator over `a`.
     pub fn new(a: &'a Structure, preds: &'a Predicates) -> LocalEvaluator<'a> {
+        let guard = Guard::unlimited();
         LocalEvaluator {
             a,
             preds,
-            ev: NaiveEvaluator::new(a, preds),
-            planner: GuardPlanner::new(a),
-            env: Assignment::new(),
-            path: Vec::new(),
-            depths: Vec::new(),
+            walker: Walker::new(a, preds, &guard),
             use_atom_candidates: true,
             use_support: true,
             threads: 1,
             cache: None,
             obs: None,
-            guard: Guard::unlimited(),
+            guard,
             fault_panic_element: None,
             stats: LocalStats::default(),
         }
@@ -210,7 +223,7 @@ impl<'a> LocalEvaluator<'a> {
     /// reference evaluator and every parallel worker this evaluator
     /// spawns.
     pub fn set_guard(&mut self, guard: Guard) {
-        self.ev.set_guard(guard.clone());
+        self.walker.ev.set_guard(guard.clone());
         self.guard = guard;
     }
 
@@ -231,25 +244,6 @@ impl<'a> LocalEvaluator<'a> {
         });
     }
 
-    /// Counts one materialised ball of `elements` elements.
-    fn note_ball(&mut self, elements: u64) {
-        self.stats.balls += 1;
-        self.stats.ball_elements += elements;
-        if let Some(o) = &self.obs {
-            o.balls.inc();
-            o.ball_elements.add(elements);
-            o.ball_size.observe(elements);
-        }
-    }
-
-    /// Counts one fully assembled tuple checked against the body.
-    fn note_tuple(&mut self) {
-        self.stats.tuples_checked += 1;
-        if let Some(o) = &self.obs {
-            o.tuples.inc();
-        }
-    }
-
     /// The exploration radius for a basic cl-term (Lemma 6.1 /
     /// Remark 6.3).
     pub fn exploration_radius(b: &BasicClTerm) -> u64 {
@@ -262,26 +256,10 @@ impl<'a> LocalEvaluator<'a> {
             .saturating_add((k - 1).saturating_mul(b.delta_bound()))
     }
 
-    /// Works out the per-term part of the enumeration for `b`.
-    fn plan<'t>(&self, b: &'t BasicClTerm) -> Plan<'t>
-    where
-        'a: 't,
-    {
-        let order = b.graph.bfs_order();
-        debug_assert_eq!(order[0], 0);
-        Plan {
-            b,
-            body: self.ev.validate(&b.body),
-            // `BasicClTerm::new` validated the bound via `checked_delta_bound`.
-            bound: u32::try_from(b.delta_bound())
-                .unwrap_or_else(|_| unreachable!("delta bound fits u32")),
-            order,
-        }
-    }
-
-    /// `u^A[a]` for a unary (or ground-used-as-unary) basic cl-term: the
-    /// number of extensions `(a₂,…,a_k)` with `y₁ = a` satisfying
-    /// `ψ ∧ δ_G,2r+1`.
+    /// `u^A[a]` at each of `anchors`, in anchor order (duplicates are
+    /// evaluated again): the number of extensions `(a₂,…,a_k)` with
+    /// `y₁ = a` satisfying `ψ ∧ δ_G,2r+1`. A ground term is read as the
+    /// unary term that pins `y₁ = a` (Remark 6.3).
     ///
     /// The enumeration is ball-local by construction (candidates come
     /// from bounded BFS layers, so only `N_R(a)` is ever touched, with
@@ -289,14 +267,158 @@ impl<'a> LocalEvaluator<'a> {
     /// directly in `A` — its value at a tuple *is* the cl-term's
     /// semantics, and the candidate-driven reference evaluator keeps that
     /// check neighbourhood-local for the separable fragment.
-    pub fn eval_basic_at(&mut self, b: &BasicClTerm, a: u32) -> Result<i64> {
-        let plan = self.plan(b);
-        self.eval_planned(&plan, a)
+    ///
+    /// The per-term plan is built once per call and the anchors fan out
+    /// over [`LocalEvaluator::threads`] workers. The first worker borrows
+    /// this evaluator's own buffers, so a sequential call allocates
+    /// nothing per anchor. Values and counters do not depend on
+    /// scheduling, and a panicking anchor surfaces as
+    /// [`LocalityError::WorkerPanicked`] at every thread count. Does not
+    /// consult the [`TermCache`].
+    pub fn eval_basic_on(&mut self, b: &BasicClTerm, anchors: &[u32]) -> Result<Vec<i64>> {
+        let order = b.graph.bfs_order();
+        debug_assert_eq!(order[0], 0);
+        let plan = Plan {
+            b,
+            body: self.walker.ev.validate(&b.body),
+            // `BasicClTerm::new` validated the bound via `checked_delta_bound`.
+            bound: u32::try_from(b.delta_bound())
+                .unwrap_or_else(|_| unreachable!("delta bound fits u32")),
+            order,
+            atom_candidates: self.use_atom_candidates,
+            obs: self.obs.as_ref(),
+            guard: &self.guard,
+            fault_panic_element: self.fault_panic_element,
+        };
+        let (a, preds) = (self.a, self.preds);
+        let tally = Mutex::new((LocalStats::default(), EvalStats::default()));
+        let lent = Mutex::new(Some(&mut self.walker));
+        let results = foc_parallel::par_map_isolated(
+            anchors,
+            self.threads,
+            plan.obs.map(|o| &o.meter),
+            || match lent.lock().unwrap_or_else(|e| e.into_inner()).take() {
+                Some(w) => Lease::Lent(w),
+                None => Lease::Own(Box::new(Walker::new(a, preds, plan.guard)), &tally),
+            },
+            |w, _, &e| w.walker().eval(&plan, e),
+        )
+        .map_err(LocalityError::from);
+        let (ls, es) = tally.into_inner().unwrap_or_else(|e| e.into_inner());
+        self.stats.add(&ls);
+        self.stats.add(&std::mem::take(&mut self.walker.stats));
+        self.walker.ev.stats.merge(&es);
+        // The reference evaluator's counters (tuple checks and guard
+        // planning, workers included) reach the registry once per call.
+        if let Some(o) = &self.obs {
+            record_eval_stats(
+                &std::mem::take(&mut self.walker.ev.stats),
+                o.parent.metrics(),
+            );
+        }
+        results
     }
 
-    fn eval_planned(&mut self, plan: &Plan<'_>, a: u32) -> Result<i64> {
+    /// The *support* of `y₁`: the candidates of its cheapest guard atom,
+    /// outside which every count is 0. `None` means "no restriction".
+    fn support(&mut self, b: &BasicClTerm) -> Option<Vec<u32>> {
+        let w = &mut self.walker;
+        let mut ctx = PathGuards {
+            vars: &b.vars,
+            path: &[],
+            depths: &[],
+            stats: &mut w.ev.stats,
+        };
+        let mut elems = Vec::new();
+        w.planner
+            .candidates(b.vars[0], &b.body, &[], usize::MAX, &mut ctx, &mut elems)
+            .then_some(elems)
+    }
+
+    /// `u^A[a]` for all elements at once: the attached [`TermCache`]'s
+    /// vector if it has one, else [`LocalEvaluator::eval_basic_on`] over
+    /// the guard-atom support of `y₁` (or the universe), with every
+    /// element outside it 0 without exploring its neighbourhood. A
+    /// cached vector is shared, not copied.
+    pub fn eval_basic_all(&mut self, b: &BasicClTerm) -> Result<Arc<Vec<i64>>> {
         self.guard.check(Phase::BallEnum)?;
-        if self.fault_panic_element == Some(a) {
+        if let Some(vals) = self.cache.as_ref().and_then(|c| c.get(b, self.a)) {
+            return Ok(vals);
+        }
+        let span = self.obs.as_ref().map(|o| {
+            o.parent.child(
+                "ball_enum",
+                &[
+                    ("width", b.width() as i64),
+                    ("order", i64::from(self.a.order())),
+                ],
+            )
+        });
+        let support = if self.use_support {
+            self.support(b)
+        } else {
+            None
+        };
+        let anchors = support.unwrap_or_else(|| self.a.universe().collect());
+        let mut out = vec![0i64; self.a.order() as usize];
+        for (&a, v) in anchors.iter().zip(self.eval_basic_on(b, &anchors)?) {
+            out[a as usize] = v;
+        }
+        drop(span);
+        let vals = Arc::new(out);
+        if let Some(cache) = &self.cache {
+            cache.insert(b, self.a, vals.clone());
+        }
+        Ok(vals)
+    }
+
+    /// Evaluates a full cl-term. Returns a scalar for ground terms and a
+    /// per-element vector when any unary basic occurs. Basic-term values
+    /// are cached by identity.
+    pub fn eval_clterm(&mut self, t: &ClTerm) -> Result<ClValue> {
+        eval_clterm_vectors(t, &mut |b| self.eval_basic_all(b))
+    }
+}
+
+impl<'a> Walker<'a> {
+    fn new(a: &'a Structure, preds: &'a Predicates, guard: &Guard) -> Walker<'a> {
+        let mut ev = NaiveEvaluator::new(a, preds);
+        ev.set_guard(guard.clone());
+        Walker {
+            a,
+            ev,
+            planner: GuardPlanner::new(a),
+            env: Assignment::new(),
+            path: Vec::new(),
+            depths: Vec::new(),
+            stats: LocalStats::default(),
+        }
+    }
+
+    /// Counts one materialised ball of `elements` elements.
+    fn note_ball(&mut self, plan: &Plan<'_>, elements: u64) {
+        self.stats.balls += 1;
+        self.stats.ball_elements += elements;
+        if let Some(o) = plan.obs {
+            o.balls.inc();
+            o.ball_elements.add(elements);
+            o.ball_size.observe(elements);
+        }
+    }
+
+    /// Counts one fully assembled tuple checked against the body.
+    fn note_tuple(&mut self, plan: &Plan<'_>) {
+        self.stats.tuples_checked += 1;
+        if let Some(o) = plan.obs {
+            o.tuples.inc();
+        }
+    }
+
+    /// `u^A[a]`: the number of extensions `(a₂,…,a_k)` with `y₁ = a`
+    /// satisfying `ψ ∧ δ_G,2r+1`.
+    fn eval(&mut self, plan: &Plan<'_>, a: u32) -> Result<i64> {
+        plan.guard.check(Phase::BallEnum)?;
+        if plan.fault_panic_element == Some(a) {
             panic!("injected fault at element {a}");
         }
         if self.depths.len() < plan.order.len() {
@@ -326,7 +448,7 @@ impl<'a> LocalEvaluator<'a> {
                 let buf = &mut self.depths[idx].layers;
                 self.a.gaifman().bfs(val, plan.bound, buf);
                 let reached = buf.within(plan.bound).len() as u64;
-                self.note_ball(reached);
+                self.note_ball(plan, reached);
                 idx
             }
         };
@@ -339,7 +461,7 @@ impl<'a> LocalEvaluator<'a> {
 
     /// Tests the complete tuple bound in `env` against the body.
     fn check_tuple(&mut self, plan: &Plan<'_>, count: &mut i64) -> Result<()> {
-        self.note_tuple();
+        self.note_tuple(plan);
         let body = plan.body.as_ref().map_err(|e| e.clone())?;
         if self.ev.check_validated(*body, &mut self.env)? {
             *count = count
@@ -360,7 +482,7 @@ impl<'a> LocalEvaluator<'a> {
         let prev = self.env.get(var);
         let result = (|| {
             'cand: for &cand in &cands {
-                self.guard.check(Phase::BallEnum)?;
+                plan.guard.check(Phase::BallEnum)?;
                 for p in &self.path {
                     let close = self.depths[p.layers]
                         .layers
@@ -398,7 +520,7 @@ impl<'a> LocalEvaluator<'a> {
             .find(|p| plan.b.graph.edge(node, p.node))
             .unwrap_or_else(|| unreachable!("BFS order guarantees an assigned neighbour"));
         let ball = self.depths[anchor.layers].layers.within(plan.bound);
-        if self.use_atom_candidates {
+        if plan.atom_candidates {
             let mut ctx = PathGuards {
                 vars: &plan.b.vars,
                 path: &self.path,
@@ -416,151 +538,40 @@ impl<'a> LocalEvaluator<'a> {
         out.clear();
         out.extend_from_slice(ball);
     }
+}
 
-    /// The *support* of `y₁`: the candidates of its cheapest guard atom,
-    /// outside which every count is 0. `None` means "no restriction".
-    fn support(&mut self, b: &BasicClTerm) -> Option<Vec<u32>> {
-        let mut ctx = PathGuards {
-            vars: &b.vars,
-            path: &[],
-            depths: &[],
-            stats: &mut self.ev.stats,
-        };
-        let mut elems = Vec::new();
-        self.planner
-            .candidates(b.vars[0], &b.body, &[], usize::MAX, &mut ctx, &mut elems)
-            .then_some(elems)
-    }
+/// A worker's walker for one fan-out: the evaluator's own, lent to the
+/// first worker, or a fresh one whose counters reach `tally` when the
+/// worker drops it.
+enum Lease<'w, 'a> {
+    Lent(&'w mut Walker<'a>),
+    Own(Box<Walker<'a>>, &'w Mutex<(LocalStats, EvalStats)>),
+}
 
-    /// `u^A[a]` for all elements at once (elements outside the guard-atom
-    /// support are 0 without exploring their neighbourhood). Consults the
-    /// attached [`TermCache`] and fans the per-element loop out over
-    /// [`LocalEvaluator::threads`] workers. A cached vector is shared, not
-    /// copied.
-    pub fn eval_basic_all(&mut self, b: &BasicClTerm) -> Result<Arc<Vec<i64>>> {
-        self.guard.check(Phase::BallEnum)?;
-        let Some(cache) = self.cache.clone() else {
-            return Ok(Arc::new(self.eval_basic_all_uncached(b)?));
-        };
-        if let Some(vals) = cache.get(b, self.a) {
-            return Ok(vals);
+impl<'a> Lease<'_, 'a> {
+    fn walker(&mut self) -> &mut Walker<'a> {
+        match self {
+            Lease::Lent(w) => w,
+            Lease::Own(w, _) => w,
         }
-        let vals = Arc::new(self.eval_basic_all_uncached(b)?);
-        cache.insert(b, self.a, vals.clone());
-        Ok(vals)
     }
+}
 
-    fn eval_basic_all_uncached(&mut self, b: &BasicClTerm) -> Result<Vec<i64>> {
-        let _span = self.obs.as_ref().map(|o| {
-            o.parent.child(
-                "ball_enum",
-                &[
-                    ("width", b.width() as i64),
-                    ("order", i64::from(self.a.order())),
-                ],
-            )
-        });
-        let support = if self.use_support {
-            self.support(b)
-        } else {
-            None
-        };
-        let elems: Vec<u32> = match support {
-            Some(support) => support,
-            None => self.a.universe().collect(),
-        };
-        let plan = self.plan(b);
-        let mut out = vec![0i64; self.a.order() as usize];
-        let threads = foc_parallel::resolve_threads(self.threads).min(elems.len().max(1));
-        if threads <= 1 {
-            // Catch panics here too, so `threads = 1` gives the same
-            // structured fault as the parallel path.
-            for (i, a) in elems.into_iter().enumerate() {
-                let v = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    self.eval_planned(&plan, a)
-                }))
-                .map_err(|p| LocalityError::WorkerPanicked {
-                    payload: foc_parallel::panic_message(p.as_ref()),
-                    item_index: i,
-                })??;
-                out[a as usize] = v;
-            }
-        } else {
-            self.eval_parallel(&plan, &elems, threads, &mut out)?;
+impl Drop for Lease<'_, '_> {
+    fn drop(&mut self) {
+        if let Lease::Own(w, tally) = self {
+            let mut t = tally.lock().unwrap_or_else(|e| e.into_inner());
+            t.0.add(&w.stats);
+            t.1.merge(&w.ev.stats);
         }
-        // The reference evaluator's counters (tuple checks and guard
-        // planning, workers included) reach the registry once per term.
-        if let Some(o) = &self.obs {
-            record_eval_stats(&std::mem::take(&mut self.ev.stats), o.parent.metrics());
-        }
-        Ok(out)
     }
+}
 
-    /// The per-element loop of [`LocalEvaluator::eval_basic_all`] fanned
-    /// out over `threads` workers.
-    fn eval_parallel(
-        &mut self,
-        plan: &Plan<'_>,
-        elems: &[u32],
-        threads: usize,
-        out: &mut [i64],
-    ) -> Result<()> {
-        // Elements are independent, so fan out with one evaluator per
-        // worker (its layer buffers are sized once, not per element);
-        // values are written back under their element id and the
-        // per-element counters summed, making the result and the stats
-        // independent of scheduling. Workers inherit the observer clone,
-        // so registry counters and the ball-size histogram see their
-        // events live. A panicking worker is contained: the fan-out
-        // drains, every thread joins, and the panic surfaces as
-        // `WorkerPanicked`.
-        let (a, preds) = (self.a, self.preds);
-        let (cands, supp) = (self.use_atom_candidates, self.use_support);
-        let obs = self.obs.clone();
-        let meter = self.obs.as_ref().map(|o| o.meter.clone());
-        let guard = self.guard.clone();
-        let fault = self.fault_panic_element;
-        let worker = || {
-            let mut w = LocalEvaluator::new(a, preds);
-            w.use_atom_candidates = cands;
-            w.use_support = supp;
-            w.obs = obs.clone();
-            w.set_guard(guard.clone());
-            w.fault_panic_element = fault;
-            w
-        };
-        let results =
-            foc_parallel::par_map_isolated(elems, threads, meter.as_ref(), worker, |w, _, &e| {
-                w.stats = LocalStats::default();
-                w.ev.reset_stats();
-                let v = w.eval_planned(plan, e)?;
-                Ok::<_, LocalityError>((v, w.stats, w.ev.stats))
-            })
-            .map_err(|fault| match fault {
-                foc_parallel::Fault::Error(e) => e,
-                foc_parallel::Fault::Panic(p) => p.into(),
-            })?;
-        for (&e, (v, st, es)) in elems.iter().zip(results) {
-            out[e as usize] = v;
-            self.stats.balls += st.balls;
-            self.stats.ball_elements += st.ball_elements;
-            self.stats.tuples_checked += st.tuples_checked;
-            self.ev.stats.merge(&es);
-        }
-        Ok(())
-    }
-
-    /// `g^A` for a ground basic cl-term: `Σ_a u^A[a]` where `u` pins
-    /// `y₁ = a` (Remark 6.3).
-    pub fn eval_basic_ground(&mut self, b: &BasicClTerm) -> Result<i64> {
-        checked_sum(&self.eval_basic_all(b)?)
-    }
-
-    /// Evaluates a full cl-term. Returns a scalar for ground terms and a
-    /// per-element vector when any unary basic occurs. Basic-term values
-    /// are cached by identity.
-    pub fn eval_clterm(&mut self, t: &ClTerm) -> Result<ClValue> {
-        eval_clterm_vectors(t, &mut |b| self.eval_basic_all(b))
+impl LocalStats {
+    fn add(&mut self, other: &LocalStats) {
+        self.balls += other.balls;
+        self.ball_elements += other.ball_elements;
+        self.tuples_checked += other.tuples_checked;
     }
 }
 
@@ -707,19 +718,24 @@ mod tests {
     fn check_local_vs_naive(cl: &ClTerm, s: &Structure) {
         let p = Predicates::standard();
         let mut lev = LocalEvaluator::new(s, &p);
+        let universe: Vec<u32> = s.universe().collect();
         for b in cl.basics() {
             let term = b.to_term();
             let mut nev = foc_eval::NaiveEvaluator::new(s, &p);
+            let got = lev.eval_basic_on(&b, &universe).unwrap();
             if b.unary {
                 for a in s.universe() {
                     let mut env = Assignment::from_pairs([(b.vars[0], a)]);
                     let want = nev.eval_term(&term, &mut env).unwrap();
-                    let got = lev.eval_basic_at(&b, a).unwrap();
-                    assert_eq!(got, want, "local vs naive at {a} for {}", b.body);
+                    assert_eq!(
+                        got[a as usize], want,
+                        "local vs naive at {a} for {}",
+                        b.body
+                    );
                 }
             } else {
                 let want = nev.eval_ground(&term).unwrap();
-                let got = lev.eval_basic_ground(&b).unwrap();
+                let got = checked_sum(&got).unwrap();
                 assert_eq!(got, want, "local vs naive (ground) for {}", b.body);
             }
         }

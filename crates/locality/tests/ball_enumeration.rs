@@ -4,18 +4,23 @@
 //! `∃`, between two non-anchor positions, and with bounds below, at and
 //! above the δ bound `2r+1`; and on a hub database whose bodies mix
 //! indexed atoms, atoms with quantified companions and equalities, with
-//! every combination of the candidate and support toggles.
+//! every combination of the candidate and support toggles. Anchor-set
+//! evaluation (`eval_basic_on`) must read the same values as the full
+//! vector, and the cache migration, which evaluates only the dirty
+//! anchors, must equal a cold rebuild.
 
 use std::sync::Arc;
 
 use foc_eval::{Assignment, NaiveEvaluator};
+use foc_locality::cache::TermCache;
 use foc_locality::clterm::BasicClTerm;
+use foc_locality::delta::migrate_cache;
 use foc_locality::gk::Gk;
 use foc_locality::local_eval::LocalEvaluator;
 use foc_logic::build::*;
 use foc_logic::{Formula, Predicates, Var};
 use foc_structures::gen::{bounded_degree, graph_structure, grid, random_tree};
-use foc_structures::Structure;
+use foc_structures::{DeltaStructure, Structure, TupleOp};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -87,6 +92,11 @@ fn arb_term() -> impl Strategy<Value = BasicClTerm> {
         })
 }
 
+/// `g^A = Σ_a u^A[a]` for a ground basic cl-term (Remark 6.3).
+fn ground(lev: &mut LocalEvaluator<'_>, b: &BasicClTerm) -> i64 {
+    lev.eval_basic_all(b).unwrap().iter().sum()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
 
@@ -110,11 +120,10 @@ proptest! {
                         let mut env = Assignment::from_pairs([(b.vars[0], a)]);
                         let want = nev.eval_term(&term, &mut env).unwrap();
                         prop_assert_eq!(got[a as usize], want, "at {}: {}", a, ctx);
-                        prop_assert_eq!(lev.eval_basic_at(&b, a).unwrap(), want, "at {}: {}", a, ctx);
                     }
                 } else {
                     let want = nev.eval_ground(&term).unwrap();
-                    prop_assert_eq!(lev.eval_basic_ground(&b).unwrap(), want, "{}", ctx);
+                    prop_assert_eq!(ground(&mut lev, &b), want, "{}", ctx);
                 }
             }
         }
@@ -218,7 +227,7 @@ fn hub_counts_match_naive(b: &BasicClTerm) -> Result<(), TestCaseError> {
             let got = if b.unary {
                 lev.eval_basic_all(b).unwrap().to_vec()
             } else {
-                vec![lev.eval_basic_ground(b).unwrap()]
+                vec![ground(&mut lev, b)]
             };
             prop_assert_eq!(
                 &got,
@@ -242,5 +251,81 @@ proptest! {
     #[test]
     fn local_counts_match_naive_on_hub_bodies(b in arb_hub_term()) {
         hub_counts_match_naive(&b)?;
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 32, ..ProptestConfig::default() })]
+
+    /// `eval_basic_on(b, anchors)` is `eval_basic_all(b)` read at the
+    /// anchors, for unsorted, repeated and empty anchor lists, at 1, 2
+    /// and 8 threads.
+    #[test]
+    fn anchor_sets_read_the_full_vector(
+        b in arb_term(),
+        picks in proptest::collection::vec(0u32..64, 0..24),
+    ) {
+        let p = Predicates::standard();
+        for s in structures() {
+            let full = LocalEvaluator::new(&s, &p).eval_basic_all(&b).unwrap();
+            let mut anchors: Vec<u32> = picks.iter().map(|&x| x % s.order()).collect();
+            // Always repeat one anchor, so every case has a duplicate.
+            if let Some(&first) = anchors.first() {
+                anchors.push(first);
+            }
+            let want: Vec<i64> = anchors.iter().map(|&a| full[a as usize]).collect();
+            for threads in [1, 2, 8] {
+                let mut lev = LocalEvaluator::new(&s, &p);
+                lev.threads = threads;
+                let got = lev.eval_basic_on(&b, &anchors).unwrap();
+                prop_assert_eq!(
+                    &got,
+                    &want,
+                    "{} on order {} at {:?} (threads {})",
+                    b.body,
+                    s.order(),
+                    anchors,
+                    threads
+                );
+                prop_assert!(lev.eval_basic_on(&b, &[]).unwrap().is_empty());
+            }
+        }
+    }
+
+    /// After an edge insert or delete, the migrated cache entry equals
+    /// a cold evaluation on the new snapshot.
+    #[test]
+    fn migrated_entries_equal_a_cold_rebuild(
+        b in arb_term(),
+        edits in proptest::collection::vec((0u32..64, 0u32..64, 0u8..2), 1..4),
+    ) {
+        let p = Predicates::standard();
+        for s in structures() {
+            let n = s.order();
+            let mut d = DeltaStructure::new(s);
+            let old = d.snapshot();
+            let cache = TermCache::default();
+            let vals = LocalEvaluator::new(&old, &p).eval_basic_all(&b).unwrap();
+            cache.insert(&b, &old, vals);
+            let ops: Vec<TupleOp> = edits
+                .iter()
+                .filter(|(u, w, _)| u % n != w % n)
+                .flat_map(|&(u, w, del)| {
+                    let (u, w) = (u % n, w % n);
+                    if del == 1 {
+                        [TupleOp::delete("E", &[u, w]), TupleOp::delete("E", &[w, u])]
+                    } else {
+                        [TupleOp::insert("E", &[u, w]), TupleOp::insert("E", &[w, u])]
+                    }
+                })
+                .collect();
+            let info = d.apply(&ops).unwrap();
+            let new = d.snapshot();
+            let stats = migrate_cache(&cache, &old, &new, &info.touched, &p);
+            prop_assert_eq!(stats.dropped, 0);
+            let cold = LocalEvaluator::new(&new, &p).eval_basic_all(&b).unwrap();
+            let migrated = cache.get(&b, &new);
+            prop_assert_eq!(migrated.as_deref(), Some(&*cold), "{} after {:?}", b.body, ops);
+        }
     }
 }

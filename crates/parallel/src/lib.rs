@@ -3,8 +3,9 @@
 //! Theorem 5.5's evaluation localises to *independent* pieces — clusters
 //! of a neighbourhood cover, elements of a support set — so the pipeline
 //! parallelises embarrassingly. This crate provides the one primitive
-//! the engines need: [`par_map`], an order-preserving, dynamically
-//! load-balanced map over a slice.
+//! the engines need: [`par_map_isolated`], an order-preserving,
+//! dynamically load-balanced map over a slice that contains worker
+//! panics.
 //!
 //! Scheduling is work-stealing in the only sense that matters for a
 //! shared-memory fan-out: idle workers claim the next unclaimed batch
@@ -43,7 +44,7 @@ pub struct WorkerPanic {
 }
 
 /// A worker failure: either the closure's own error, or a caught panic.
-/// As with errors in [`par_map`], the *lowest-index* fault wins when
+/// The *lowest-index* fault wins when
 /// several items fail, so the surfaced fault is scheduling-independent.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Fault<E> {
@@ -117,54 +118,16 @@ pub fn resolve_threads(requested: usize) -> usize {
     }
 }
 
-/// Applies `f` to every item, in parallel over `threads` workers,
-/// returning results in input order.
+/// Applies `f` to every item, in parallel over `threads` workers
+/// (`0` = one per hardware thread), returning results in input order,
+/// with **panic isolation** and **per-worker state**.
 ///
-/// With `threads <= 1` (or fewer than two items) this is exactly the
-/// sequential left-to-right loop, including its early-exit-on-error
-/// behaviour. The parallel path evaluates every claimed item and then
-/// reports the *lowest-index* error, so which error surfaces does not
-/// depend on scheduling.
-pub fn par_map<T, R, E, F>(items: &[T], threads: usize, f: F) -> Result<Vec<R>, E>
-where
-    T: Sync,
-    R: Send,
-    E: Send,
-    F: Fn(usize, &T) -> Result<R, E> + Sync,
-{
-    par_map_metered(items, threads, None, f)
-}
-
-/// [`par_map`] with optional scheduling metrics: when a [`ParMeter`] is
-/// given, every fan-out records items processed, batches claimed, and
-/// the per-worker batch distribution. Metering never changes scheduling
-/// or results — the instruments are relaxed atomics off the claim path.
-pub fn par_map_metered<T, R, E, F>(
-    items: &[T],
-    threads: usize,
-    meter: Option<&ParMeter>,
-    f: F,
-) -> Result<Vec<R>, E>
-where
-    T: Sync,
-    R: Send,
-    E: Send,
-    F: Fn(usize, &T) -> Result<R, E> + Sync,
-{
-    match par_map_isolated(items, threads, meter, || (), |_, i, item| f(i, item)) {
-        Ok(v) => Ok(v),
-        Err(Fault::Error(e)) => Err(e),
-        // Callers of this entry point did not opt into panic containment;
-        // re-raise the (already joined) worker panic on the caller thread.
-        Err(Fault::Panic(p)) => std::panic::resume_unwind(Box::new(format!(
-            "worker panicked on item {}: {}",
-            p.item_index, p.payload
-        ))),
-    }
-}
-
-/// [`par_map_metered`] with **panic isolation** and **per-worker
-/// state**: a panic inside `f` is caught on the worker, the remaining
+/// With a [`ParMeter`], every fan-out records items processed, batches
+/// claimed and the per-worker batch distribution, on the sequential
+/// path too. Metering never changes scheduling or results — the
+/// instruments are relaxed atomics off the claim path.
+///
+/// A panic inside `f` is caught on the worker, the remaining
 /// items are still evaluated (the other workers drain cleanly and every
 /// thread is joined), and the panic surfaces to the caller as
 /// [`Fault::Panic`] carrying the payload and the item index. When
@@ -327,32 +290,26 @@ where
     r
 }
 
-/// Infallible convenience wrapper around [`par_map`].
-pub fn par_map_ok<T, R, F>(items: &[T], threads: usize, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    match par_map(items, threads, |i, t| {
-        Ok::<R, std::convert::Infallible>(f(i, t))
-    }) {
-        Ok(v) => v,
-        Err(never) => match never {},
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicUsize;
+
+    /// An infallible map through [`par_map_isolated`].
+    fn map<T: Sync, R: Send>(
+        items: &[T],
+        threads: usize,
+        f: impl Fn(usize, &T) -> R + Sync,
+    ) -> Vec<R> {
+        par_map_isolated(items, threads, None, || (), |_, i, t| Ok::<R, ()>(f(i, t))).unwrap()
+    }
 
     #[test]
     fn matches_sequential_for_all_thread_counts() {
         let items: Vec<u64> = (0..257).collect();
         let want: Vec<u64> = items.iter().map(|x| x * x + 1).collect();
         for threads in [1, 2, 3, 8, 64] {
-            let got = par_map_ok(&items, threads, |_, &x| x * x + 1);
+            let got = map(&items, threads, |_, &x| x * x + 1);
             assert_eq!(got, want, "threads = {threads}");
         }
     }
@@ -361,7 +318,7 @@ mod tests {
     fn every_item_runs_exactly_once() {
         let counters: Vec<AtomicUsize> = (0..100).map(|_| AtomicUsize::new(0)).collect();
         let items: Vec<usize> = (0..100).collect();
-        par_map_ok(&items, 8, |i, _| counters[i].fetch_add(1, Ordering::SeqCst));
+        map(&items, 8, |i, _| counters[i].fetch_add(1, Ordering::SeqCst));
         for (i, c) in counters.iter().enumerate() {
             assert_eq!(c.load(Ordering::SeqCst), 1, "item {i}");
         }
@@ -371,33 +328,63 @@ mod tests {
     fn lowest_index_error_wins() {
         let items: Vec<u32> = (0..100).collect();
         for threads in [1, 4, 16] {
-            let got: Result<Vec<u32>, usize> =
-                par_map(
-                    &items,
-                    threads,
-                    |i, &x| if x % 7 == 3 { Err(i) } else { Ok(x) },
-                );
-            assert_eq!(got.unwrap_err(), 3, "threads = {threads}");
+            let got: Result<Vec<u32>, Fault<usize>> = par_map_isolated(
+                &items,
+                threads,
+                None,
+                || (),
+                |_, i, &x| {
+                    if x % 7 == 3 {
+                        Err(i)
+                    } else {
+                        Ok(x)
+                    }
+                },
+            );
+            assert_eq!(got.unwrap_err(), Fault::Error(3), "threads = {threads}");
         }
+    }
+
+    #[test]
+    fn sequential_path_stops_at_the_first_fault() {
+        let ran = AtomicUsize::new(0);
+        let items: Vec<u32> = (0..100).collect();
+        let got: Result<Vec<u32>, Fault<u32>> = par_map_isolated(
+            &items,
+            1,
+            None,
+            || (),
+            |_, _, &x| {
+                ran.fetch_add(1, Ordering::SeqCst);
+                if x == 10 {
+                    Err(x)
+                } else {
+                    Ok(x)
+                }
+            },
+        );
+        assert_eq!(got.unwrap_err(), Fault::Error(10));
+        assert_eq!(ran.load(Ordering::SeqCst), 11);
     }
 
     #[test]
     fn empty_and_single_inputs() {
         let empty: Vec<u32> = Vec::new();
-        assert!(par_map_ok(&empty, 8, |_, &x| x).is_empty());
-        assert_eq!(par_map_ok(&[5u32], 8, |_, &x| x + 1), vec![6]);
+        assert!(map(&empty, 8, |_, &x| x).is_empty());
+        assert_eq!(map(&[5u32], 8, |_, &x| x + 1), vec![6]);
     }
 
     #[test]
     fn meter_accounts_for_every_item_and_batch() {
+        let run = |threads: usize, meter: &ParMeter| {
+            let items: Vec<u64> = (0..257).collect();
+            let got: Result<Vec<u64>, Fault<()>> =
+                par_map_isolated(&items, threads, Some(meter), || (), |_, _, &x| Ok(x + 1));
+            assert_eq!(got.unwrap().len(), 257);
+        };
         let m = foc_obs::Metrics::new();
         let meter = ParMeter::from_metrics(&m);
-        let items: Vec<u64> = (0..257).collect();
-        let got = par_map_metered(&items, 4, Some(&meter), |_, &x| {
-            Ok::<u64, std::convert::Infallible>(x + 1)
-        })
-        .unwrap();
-        assert_eq!(got.len(), 257);
+        run(4, &meter);
         assert_eq!(meter.items.get(), 257);
         assert!(meter.batches.get() >= 1);
         assert_eq!(meter.workers.get(), 4);
@@ -405,15 +392,14 @@ mod tests {
         assert_eq!(meter.batches_per_worker.count(), 4);
         assert_eq!(meter.batches_per_worker.sum(), meter.batches.get());
 
-        // The sequential path accounts too.
+        // The sequential path accounts too: one worker, one batch.
         let m1 = foc_obs::Metrics::new();
         let meter1 = ParMeter::from_metrics(&m1);
-        par_map_metered(&items, 1, Some(&meter1), |_, &x| {
-            Ok::<u64, std::convert::Infallible>(x)
-        })
-        .unwrap();
+        run(1, &meter1);
         assert_eq!(meter1.items.get(), 257);
         assert_eq!(meter1.workers.get(), 1);
+        assert_eq!(meter1.batches.get(), 1);
+        assert_eq!(meter1.batches_per_worker.count(), 1);
     }
 
     #[test]
@@ -614,6 +600,6 @@ mod tests {
         assert!(resolve_threads(0) >= 1);
         assert_eq!(resolve_threads(3), 3);
         let items: Vec<u32> = (0..10).collect();
-        assert_eq!(par_map_ok(&items, 0, |_, &x| x), items);
+        assert_eq!(map(&items, 0, |_, &x| x), items);
     }
 }

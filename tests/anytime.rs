@@ -6,7 +6,7 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use foc_core::{AnytimeConfig, Confidence, EngineKind, Error, Evaluator, Phase, TripReason};
+use foc_core::{Confidence, EngineKind, Error, Evaluator, Phase, TripReason};
 use foc_logic::build::{cnt, dist_le, not, v};
 use foc_logic::Term;
 use foc_structures::gen::grid;
@@ -71,7 +71,7 @@ fn deadline_tripping_mid_cover_recursion_yields_a_tagged_answer() {
         .build()
         .unwrap();
     let out = anytime
-        .eval_ground_anytime(&a, &q, &AnytimeConfig::default(), None, None)
+        .eval_ground_anytime(&a, &q, None, None)
         .expect("a 50ms deadline leaves the sample pass room to bank an answer");
     // What exactly got banked depends on machine speed (this is a
     // wall-clock test), so assert each tag's *contract* against an
@@ -155,11 +155,10 @@ fn fuel_trips_agree_across_thread_counts() {
 fn anytime_confidence_is_deterministic_across_runs_and_threads() {
     let a: Structure = grid(12, 12);
     let q = far_pairs();
-    let cfg = AnytimeConfig::default();
 
     let run = |threads: usize| {
         engine(EngineKind::Cover, threads, 2_000)
-            .eval_ground_anytime(&a, &q, &cfg, None, None)
+            .eval_ground_anytime(&a, &q, None, None)
             .expect("a 2000-fuel budget banks the sample pass")
     };
     let first = run(1);
